@@ -276,7 +276,11 @@ def _cmd_validate(args, argv) -> int:
                         ((d / p.omega_p, r) for d, r in report.points),
                         trailing_comments=[summary])
         _write_manifest(args.out, argv, p,
-                        [f"run: validate grid={grid.size}", summary])
+                        [f"run: validate grid={grid.size}", summary,
+                         f"oracle: max_residual="
+                         f"{csvio.fmt(report.max_residual)} "
+                         f"points={len(report.points)} "
+                         f"failures={len(report.failures)}"])
     print(summary)
     for d, message in report.failures:
         print(f"solver failure at delta_over_omega_p="

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ConvergenceError
 from .params import EFFECTIVE, MICROSCOPIC, SystemParams, rabi_frequency
-from .util import pmap
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -188,7 +187,7 @@ def magnon_number_sweep(p: SystemParams, B_grid, warm_start: bool = True,
     """One converged solve per field value, warm-started along the grid.
 
     Warm starting follows the solution branch continuously; disabling it
-    makes the points independent (and therefore safe to parallelise).
+    solves each point independently from a zero population.
     """
     if p.coupling_mode != MICROSCOPIC:
         raise ConfigError("magnon_number_sweep requires microscopic mode")
@@ -215,7 +214,7 @@ def magnon_number_sweep(p: SystemParams, B_grid, warm_start: bool = True,
             points.append(pt)
             seed = pt.state.magnon_number
     else:
-        points = pmap(lambda B: solve_at(B, None), B_grid)
+        points = [solve_at(B, None) for B in B_grid]
 
     numbers = [pt.state.magnon_number for pt in points]
     diffs = [b - a for a, b in zip(numbers, numbers[1:])]

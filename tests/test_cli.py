@@ -10,14 +10,6 @@ from magnomech.cli import run
 from magnomech.params import parse_config
 from magnomech.presets import BASELINE_CONFIG, MICROSCOPIC_CONFIG, PRESETS
 
-pytestmark = pytest.mark.usefixtures("single_thread")
-
-
-@pytest.fixture()
-def single_thread(monkeypatch):
-    monkeypatch.delenv("MAGNOMECH_THREADS", raising=False)
-
-
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "base.cfg"
@@ -101,17 +93,6 @@ def test_preset_output_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_threaded_run_matches_sequential(config_path, tmp_path, monkeypatch):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert run(["validate", "--config", config_path, "--out", str(seq),
-                "--grid", "101"]) == 0
-    monkeypatch.setenv("MAGNOMECH_THREADS", "4")
-    assert run(["validate", "--config", config_path, "--out", str(par),
-                "--grid", "101"]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_manifest_reproduces_run(config_path, tmp_path):
     out = tmp_path / "spec.csv"
     assert run(["spectrum", "--config", config_path, "--out", str(out),
@@ -137,6 +118,24 @@ def test_validate_reports_and_accepts(config_path, tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("delta_over_omega_p,rel_dev\n")
     assert "# max_rel_dev=" in text
+    assert "oracle:" not in text
+
+
+def test_validate_manifest_reports_oracle(config_path, tmp_path):
+    out = tmp_path / "val.csv"
+    assert run(["validate", "--config", config_path, "--out", str(out),
+                "--grid", "101"]) == 0
+    manifest = Path(str(out) + ".manifest.txt").read_text()
+    assert parse_config(manifest) == parse_config(BASELINE_CONFIG)
+    lines = [ln for ln in manifest.splitlines() if ln.startswith("# oracle:")]
+    assert len(lines) == 1
+    fields = dict(kv.split("=") for kv in lines[0].split()[2:])
+    assert set(fields) == {"max_residual", "points", "failures"}
+    assert 0.0 <= float(fields["max_residual"]) < 1e-12
+    assert fields["points"] == "101" and fields["failures"] == "0"
+    # readers take the first max_rel_dev= in a manifest: the oracle line
+    # must not repeat it
+    assert manifest.count("max_rel_dev=") == 1
 
 
 def test_windows_subcommand(tmp_path):

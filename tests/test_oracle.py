@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from magnomech.errors import OracleError
-from magnomech.oracle import (ORDERING, FluctuationSystem,
+import magnomech.oracle as oracle_module
+from magnomech.oracle import (CHUNK, ORDERING, FluctuationSystem,
                               build_fluctuation_matrix, cross_validate,
                               solve_fluctuations)
+from magnomech.response import probe_response
 from magnomech.steady_state import solve_steady_state
 
 from conftest import delta_grid, with_overrides
@@ -88,6 +90,23 @@ def test_singular_matrix_reports_delta(decoupled):
     with pytest.raises(OracleError, match="singular"):
         solve_fluctuations(broken)
 
+    grid = delta_grid(decoupled, 4)
+    stack = build_fluctuation_matrix(decoupled, state, grid)
+    stack.matrix[2] = 0.0
+    with pytest.raises(OracleError, match="singular .* 4 detunings in"):
+        solve_fluctuations(stack)
+
+
+def test_nan_residual_breaks_the_bound():
+    matrix = np.eye(12, dtype=complex)
+    matrix[3, 4] = np.nan
+    rhs = np.zeros(12, complex)
+    rhs[0] = 1.0
+    system = FluctuationSystem(matrix=matrix, rhs=rhs, ordering=ORDERING,
+                               delta=0.5, eps_d=1.0)
+    with pytest.raises(OracleError, match="residual nan .* delta = 0.5 "):
+        solve_fluctuations(system)
+
 
 def test_residual_bound_violation_mentions_condition(fig3c_template):
     p = with_overrides(fig3c_template, f_hz=1.5e6, G_au_hz=6e6)
@@ -95,6 +114,71 @@ def test_residual_bound_violation_mentions_condition(fig3c_template):
     system = build_fluctuation_matrix(p, state, 0.97 * p.omega_p)
     with pytest.raises(OracleError, match="condition estimate"):
         solve_fluctuations(system, residual_bound=0.0)
+
+    # stacked: the first point over the bound is named, with its condition
+    grid = delta_grid(p, 7)
+    stack = build_fluctuation_matrix(p, state, grid)
+    residuals = [solve_fluctuations(build_fluctuation_matrix(p, state, d))
+                 .residual for d in grid]
+    bound = float(np.median(residuals))
+    first = next(d for d, r in zip(grid, residuals) if r > bound)
+    with pytest.raises(OracleError) as info:
+        solve_fluctuations(stack, residual_bound=bound)
+    assert f"at delta = {float(first)!r} (condition estimate " in str(info.value)
+
+
+def test_stacked_build_equals_per_point_builds(fig3c_template):
+    p = with_overrides(fig3c_template, f_hz=1.5e6, G_au_hz=6e6)
+    state = solve_steady_state(p)
+    grid = delta_grid(p, 301, lo=-0.5, hi=2.5)
+    stack = build_fluctuation_matrix(p, state, grid, eps_d=2.0)
+    singles = [build_fluctuation_matrix(p, state, d, eps_d=2.0) for d in grid]
+    assert stack.matrix.shape == (grid.size, 12, 12)
+    assert np.array_equal(stack.matrix, np.array([s.matrix for s in singles]))
+    assert np.array_equal(stack.rhs, singles[0].rhs)
+    assert np.array_equal(stack.delta, grid)
+
+
+def test_stacked_solve_equals_per_point_solves(fig3c_template):
+    p = with_overrides(fig3c_template, f_hz=1.5e6, G_au_hz=6e6)
+    state = solve_steady_state(p)
+    grid = delta_grid(p, 301, lo=-0.5, hi=2.5)
+    stacked = solve_fluctuations(build_fluctuation_matrix(p, state, grid))
+    singles = [solve_fluctuations(build_fluctuation_matrix(p, state, d))
+               for d in grid]
+    a1m = np.array([s.a1m for s in singles])
+    # bitwise: the same LAPACK solve runs per matrix of the stack
+    assert stacked.a1m.view(np.uint64).tolist() == a1m.view(np.uint64).tolist()
+    assert np.array_equal(stacked.amplitudes,
+                          np.array([s.amplitudes for s in singles]))
+    assert isinstance(stacked.residual, float)
+    assert stacked.residual == max(s.residual for s in singles)
+    assert isinstance(singles[0].a1m, complex)
+
+
+def test_cross_validate_chunks_match_per_point_reference(fig3c_template):
+    p = with_overrides(fig3c_template, f_hz=2e6)
+    state = solve_steady_state(p)
+    grid = delta_grid(p, 2 * CHUNK + 3)
+    report = cross_validate(p, state, grid)
+    closed = probe_response(p, state, grid)
+    expected = []
+    for d, cf in zip(grid, closed):
+        a1m = solve_fluctuations(build_fluctuation_matrix(p, state, d)).a1m
+        expected.append((float(d), abs(cf - a1m) / abs(a1m)))
+    assert report.points == expected
+    assert report.failures == []
+    worst = max(range(len(expected)), key=lambda k: expected[k][1])
+    assert report.max_rel_dev == expected[worst][1]
+    assert report.argmax_delta == expected[worst][0]
+    assert 0.0 < report.max_residual < 1e-12
+
+
+@pytest.mark.parametrize("delta", [np.zeros((2, 3)), np.zeros(0)])
+def test_build_rejects_bad_delta_shapes(decoupled, delta):
+    state = solve_steady_state(decoupled)
+    with pytest.raises(OracleError, match="non-empty 1-D"):
+        build_fluctuation_matrix(decoupled, state, delta)
 
 
 def test_cross_validate_decoupled_point(decoupled):
@@ -112,22 +196,22 @@ def test_cross_validate_requires_points(decoupled):
 
 def test_cross_validate_continues_past_failures(decoupled, monkeypatch):
     state = solve_steady_state(decoupled)
-    grid = delta_grid(decoupled, 5)
-    poisoned = grid[2]
+    grid = delta_grid(decoupled, CHUNK + 10)
+    poisoned = float(grid[CHUNK + 3])   # in the second chunk
+    original = oracle_module.build_fluctuation_matrix
 
-    import magnomech.oracle as oracle_module
-    original = oracle_module.solve_fluctuations
+    def poison(p, state, delta, eps_d=1.0):
+        system = original(p, state, delta, eps_d)
+        system.matrix[np.asarray(system.delta) == poisoned] = 0.0  # singular
+        return system
 
-    def flaky(system, residual_bound=1e-12):
-        if system.delta == poisoned:
-            raise OracleError(f"forced failure at delta = {system.delta!r}")
-        return original(system, residual_bound)
-
-    monkeypatch.setattr(oracle_module, "solve_fluctuations", flaky)
+    monkeypatch.setattr(oracle_module, "build_fluctuation_matrix", poison)
     report = oracle_module.cross_validate(decoupled, state, grid)
-    assert len(report.failures) == 1
-    assert report.failures[0][0] == poisoned
-    assert len(report.points) == 4
+    assert [d for d, _ in report.failures] == [poisoned]
+    assert "singular" in report.failures[0][1]
+    assert [d for d, _ in report.points] == [float(d) for d in grid
+                                             if d != poisoned]
+    assert report.max_rel_dev < 1e-13
 
 
 def test_cross_validate_full_grid(fig3c_template):
