@@ -119,15 +119,14 @@ def fano_asymmetry(window: Window) -> float:
 _SWEEPABLE = ("f", "G_au")
 
 
-def _tau_at(p: SystemParams, parameter: str, value: float, fixed_delta: float,
-            step: float | None):
+def _tau_at(p: SystemParams, parameter: str, value: float, fixed_delta: float):
     p2 = replace(p, **{parameter: float(value)})
     state = solve_steady_state(p2)
-    return group_delay_result(p2, state, fixed_delta, step)
+    return group_delay_result(p2, state, fixed_delta)
 
 
 def delay_sign_crossings(p: SystemParams, parameter: str, grid,
-                         fixed_delta: float, step: float | None = None,
+                         fixed_delta: float,
                          rel_resolution: float = 1e-4) -> CrossingReport:
     """Locate group-delay sign changes along a coupling sweep.
 
@@ -142,7 +141,7 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep grid must be sorted strictly ascending")
 
-    results = [_tau_at(p, parameter, v, fixed_delta, step) for v in values]
+    results = [_tau_at(p, parameter, v, fixed_delta) for v in values]
     samples = [(v, r.tau) for v, r in zip(values, results)]
 
     crossings: list[Crossing] = []
@@ -158,7 +157,7 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
         a, b = lo, hi
         while (b - a) > rel_resolution * max(abs(a), abs(b), 1e-300):
             mid = 0.5 * (a + b)
-            r_mid = _tau_at(p, parameter, mid, fixed_delta, step)
+            r_mid = _tau_at(p, parameter, mid, fixed_delta)
             if not r_mid.reliable:
                 invalid.append((a, b, "unreliable delay during bisection"))
                 break
@@ -175,7 +174,7 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
 
 
 def sweep_spectrum(p: SystemParams, sweep_spec, deltas,
-                   step: float | None = None, budget: int = 10 ** 6):
+                   budget: int = 10 ** 6):
     """Yield (overrides, Spectrum) over a 1- or 2-parameter Cartesian sweep.
 
     ``sweep_spec`` is a list of (config_key, values) pairs, values in file
@@ -200,17 +199,16 @@ def sweep_spectrum(p: SystemParams, sweep_spec, deltas,
         key, values = spec[0]
         for v in values:
             p2 = apply_override(p, key, v)
-            yield {key: v}, _spectrum_for(p2, d, step)
+            yield {key: v}, _spectrum_for(p2, d)
     else:
         (k1, v1s), (k2, v2s) = spec
         for v1 in v1s:
             p1 = apply_override(p, k1, v1)
             for v2 in v2s:
                 p2 = apply_override(p1, k2, v2)
-                yield {k1: v1, k2: v2}, _spectrum_for(p2, d, step)
+                yield {k1: v1, k2: v2}, _spectrum_for(p2, d)
 
 
-def _spectrum_for(p: SystemParams, deltas: np.ndarray,
-                  step: float | None) -> Spectrum:
+def _spectrum_for(p: SystemParams, deltas: np.ndarray) -> Spectrum:
     state = solve_steady_state(p)
-    return evaluate_spectrum(p, state, deltas, step)
+    return evaluate_spectrum(p, state, deltas)

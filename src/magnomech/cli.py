@@ -306,17 +306,16 @@ def _cmd_preset(args, argv) -> int:
         lo, hi = args.sweep_range if args.sweep_range else (preset.lo, preset.hi)
         n = args.grid if args.grid else preset.grid
         grid = np.linspace(lo * base.omega_p, hi * base.omega_p, n)
-        step = preset.fd_step * base.omega_p
         tag_name = _curve_tag(preset, base, 0.0)[0]
         rows = []
         for value in preset.curve_values:
             p = apply_override(base, preset.curve_key, value)
             state = steady_state.solve_steady_state(p)
-            spectrum = response.evaluate_spectrum(p, state, grid, step=step)
+            spectrum = response.evaluate_spectrum(p, state, grid)
             tag = _curve_tag(preset, p, value)[1]
             rows.extend((tag,) + row for row in _spectrum_rows(p, spectrum))
         csvio.write_csv(args.out, [tag_name] + SPECTRUM_HEADER, rows)
-        notes.append(f"grid={n} range={lo:g}:{hi:g} fd_step={preset.fd_step:g}")
+        notes.append(f"grid={n} range={lo:g}:{hi:g}")
 
     elif preset.kind == "steady":
         lo, hi = args.brange if args.brange else (preset.b_lo, preset.b_hi)

@@ -126,6 +126,8 @@ class SystemParams:
                 f"got {self.coupling_mode!r}")
         if self.coupling_mode == EFFECTIVE and self.G_np_direct is None:
             raise ConfigError("coupling_mode=effective requires G_np_direct")
+        if self.coupling_mode == MICROSCOPIC and not self.g_np > 0.0:
+            raise ConfigError("microscopic mode requires g_np_hz > 0")
         if self.kerr_K is not None and self.kerr_K < 0.0:
             raise ConfigError("kerr_K must be non-negative")
         for omega_name, delta_name in _PAIRS:
@@ -256,9 +258,6 @@ def parse_config(text: str) -> SystemParams:
         raise ConfigError(f"missing mandatory key(s): {', '.join(missing)}")
 
     mode = raw["coupling_mode"]
-    if mode not in (EFFECTIVE, MICROSCOPIC):
-        raise ConfigError(f"coupling_mode must be '{EFFECTIVE}' or "
-                          f"'{MICROSCOPIC}', got {mode!r}")
     if mode == EFFECTIVE and _COMPLEX_HZ_KEY not in raw:
         raise ConfigError("missing mandatory key(s): G_np_hz (effective mode)")
     if mode == MICROSCOPIC:
@@ -267,8 +266,6 @@ def parse_config(text: str) -> SystemParams:
         if missing:
             raise ConfigError("missing mandatory key(s): "
                               f"{', '.join(missing)} (microscopic mode)")
-        if _number("g_np_hz", raw["g_np_hz"]) <= 0.0:
-            raise ConfigError("microscopic mode requires g_np_hz > 0")
 
     fields: dict[str, object] = {"coupling_mode": mode}
     for key, field in _HZ_KEYS.items():

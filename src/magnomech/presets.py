@@ -84,9 +84,6 @@ class Preset:
     sweep_hi: float = 0.3
     sweep_points: int = 121
     fixed_delta: float = 1.0        # omega_p units
-    # group-delay differentiation step in omega_p units; presets whose
-    # narrowest feature is the weakly dressed phonon line need a finer step
-    fd_step: float = 1e-6
 
     def resolve(self) -> SystemParams:
         """Base parameters with this preset's overrides applied."""
@@ -158,8 +155,7 @@ def _build_presets() -> dict[str, Preset]:
             description=f"absorption vs tunnelling at B = {b * 1e3:g} mT "
                         "(drive-built coupling)",
             overrides=(("B_tesla", b),),
-            curve_key="f_hz", curve_values=_F_CURVES, grid=4001,
-            fd_step=1e-7)
+            curve_key="f_hz", curve_values=_F_CURVES, grid=4001)
 
     presets["fig6a"] = _spectrum(
         "fig6a", "Fano lineshapes vs tunnelling (magnons detuned from the "

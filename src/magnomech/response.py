@@ -79,7 +79,6 @@ class Spectrum:
     t2: np.ndarray
     tau: np.ndarray
     tau_reliable: np.ndarray
-    richardson_rel: np.ndarray
 
     def points(self) -> list[ResponsePoint]:
         return [ResponsePoint(delta=float(d), a1m=complex(a), eout=complex(e),
@@ -91,7 +90,6 @@ class Spectrum:
 @dataclass(frozen=True)
 class GroupDelayResult:
     tau: float | np.ndarray
-    richardson_rel: float | np.ndarray
     reliable: bool | np.ndarray
 
 
@@ -159,49 +157,57 @@ def transmission(p: SystemParams, state: SteadyState, delta):
     return 1.0 - output_field(p, state, delta)
 
 
-def group_delay_result(p: SystemParams, state: SteadyState, delta,
-                       step: float | None = None) -> GroupDelayResult:
-    """Group delay tau = Im[(1/t) dt/d(omega_d)] via central differences.
+def probe_response_slope(p: SystemParams, state: SteadyState, delta):
+    """Exact d(a1m)/d(delta), carried forward through the ladder.
 
-    The derivative is taken on the complex transmission, which avoids
-    phase-unwrapping artefacts near deep |t| minima.  A step/2 evaluation
-    is recorded as a Richardson-style consistency figure (relative to the
-    full complex logarithmic-derivative magnitude, which stays finite at
-    tau sign changes).  Points with |t| below 1e-12 are flagged unreliable.
+    Every denominator has dS/d(delta) = -i and X = -2i omega_p / S4, so a
+    ratio term T (of a correction W = 1 + T, or of the inverse response)
+    has dT/T = the sum of i/S over its S factors below the line, minus
+    dW/W over its W factors there, plus i/S4 when X is above the line.
     """
-    if step is None:
-        step = 1e-6 * p.omega_p
-    if step <= 0.0:
-        raise ResponseError("finite-difference step must be positive")
-    d = np.asarray(delta, dtype=float)
-    t0 = np.asarray(transmission(p, state, d))
+    c = ladder_coefficients(p, state, delta)
+    dW1 = (c.W1 - 1.0) * (1j / c.S7 + 1j / c.S8)
+    T2g = p.g1 ** 2 / (c.S6 * c.S9)
+    T2f = p.f ** 2 / (c.S6 * c.S7 * c.W1)
+    dW2 = (T2g * (1j / c.S6 + 1j / c.S9)
+           + T2f * (1j / c.S6 + 1j / c.S7 - dW1 / c.W1))
+    dW3 = (c.W3 - 1.0) * (1j / c.S5 + 1j / c.S6 - dW2 / c.W2)
+    dW4 = (c.W4 - 1.0) * (1j / c.S4 + 1j / c.S3 + 1j / c.S5 - dW3 / c.W3)
+    dW5 = (c.W5 - 1.0) * (1j / c.S4 + 1j / c.S2 + 1j / c.S3 - dW4 / c.W4)
+    dW6 = (c.W6 - 1.0) * (1j / c.S10 + 1j / c.S11)
+    R10 = p.f ** 2 / (c.S10 * c.W6)
+    R12 = p.g1 ** 2 / c.S12
+    R2 = p.g2 ** 2 / (c.S2 * c.W5)
+    d_inverse = (-1j + R10 * (1j / c.S10 - dW6 / c.W6) + R12 * 1j / c.S12
+                 + R2 * (1j / c.S2 - dW5 / c.W5))
+    return -d_inverse / (c.S1 + R10 + R12 + R2) ** 2
 
-    def log_derivative(h: float) -> np.ndarray:
-        tp = transmission(p, state, d + h)
-        tm = transmission(p, state, d - h)
-        return (tp - tm) / (2.0 * h) / t0
 
+def group_delay_result(p: SystemParams, state: SteadyState,
+                       delta) -> GroupDelayResult:
+    """Group delay tau = Im[(1/t) dt/d(omega_d)], exact.
+
+    dt/d(delta) = -2 kappa_a d(a1m)/d(delta) comes from the ladder's own
+    derivative, not from differences.  Points with |t| below 1e-12 are
+    flagged unreliable: the phase is undefined there.
+    """
+    t = np.asarray(transmission(p, state, delta))
+    dt = -2.0 * p.kappa_a * probe_response_slope(p, state, delta)
     # |t| ~ 0 points produce non-finite delays; they are flagged, not raised
     with np.errstate(divide="ignore", invalid="ignore"):
-        q1 = np.asarray(log_derivative(step))
-        q2 = np.asarray(log_derivative(step / 2.0))
-        tau = np.imag(q1)
-        richardson = np.abs(q1 - q2) / np.maximum(np.abs(q2), 1e-300)
-    reliable = np.abs(t0) >= 1e-12
-    if d.ndim == 0:
-        return GroupDelayResult(tau=float(tau), richardson_rel=float(richardson),
-                                reliable=bool(reliable))
-    return GroupDelayResult(tau=tau, richardson_rel=richardson, reliable=reliable)
+        tau = np.imag(dt / t)
+    reliable = np.abs(t) >= 1e-12
+    if t.ndim == 0:
+        return GroupDelayResult(tau=float(tau), reliable=bool(reliable))
+    return GroupDelayResult(tau=tau, reliable=reliable)
 
 
-def group_delay(p: SystemParams, state: SteadyState, delta,
-                step: float | None = None):
+def group_delay(p: SystemParams, state: SteadyState, delta):
     """Group delay in seconds; positive = slow light, negative = fast."""
-    return group_delay_result(p, state, delta, step).tau
+    return group_delay_result(p, state, delta).tau
 
 
-def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas,
-                      step: float | None = None) -> Spectrum:
+def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
     """Full response over a detuning grid (one vectorised pass)."""
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -209,9 +215,8 @@ def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas,
     a1m = probe_response(p, state, d)
     eout = 2.0 * p.kappa_a * a1m
     t = 1.0 - eout
-    delay = group_delay_result(p, state, d, step)
+    delay = group_delay_result(p, state, d)
     return Spectrum(delta=d, a1m=np.asarray(a1m), eout=np.asarray(eout),
                     t=np.asarray(t), t2=np.abs(t) ** 2,
                     tau=np.asarray(delay.tau),
-                    tau_reliable=np.asarray(delay.reliable),
-                    richardson_rel=np.asarray(delay.richardson_rel))
+                    tau_reliable=np.asarray(delay.reliable))

@@ -7,6 +7,10 @@ rather than calling the code paths they check.
 import numpy as np
 from scipy.optimize import brentq
 
+from magnomech.oracle import (ORDERING, build_fluctuation_matrix,
+                              solve_fluctuations)
+from magnomech.response import transmission
+
 
 def steady_equation_residual(p, state, Omega):
     """Max relative residual of the six steady-state balance equations."""
@@ -94,3 +98,38 @@ def magnon_population_direct(p, Omega):
 def bare_cavity_a1m(p, delta):
     """Closed-form intracavity amplitude of the uncoupled cavity."""
     return 1.0 / (p.kappa_a + 1j * (p.delta_1 - np.asarray(delta)))
+
+
+def finite_difference_group_delay(p, state, delta, step=1e-7):
+    """Group delay from central differences of the transmission.
+
+    The difference quotient at step h = ``step`` * omega_p and at h/2 is
+    extrapolated as (4 D(h/2) - D(h)) / 3, which cancels the O(h^2) error.
+    """
+    d = np.asarray(delta, dtype=float)
+    t0 = transmission(p, state, d)
+
+    def quotient(h):
+        return (transmission(p, state, d + h)
+                - transmission(p, state, d - h)) / (2.0 * h)
+
+    h = step * p.omega_p
+    slope = (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.imag(slope / t0)
+
+
+def resolvent_group_delay(p, state, delta):
+    """Group delay from the 12x12 sideband system and its exact derivative.
+
+    M(delta) = M0 - i*delta*I gives dM/d(delta) = -iI, so the solution x of
+    M x = b has dx/d(delta) = i M^-1 x: one more solve with the same matrix.
+    """
+    system = build_fluctuation_matrix(p, state, delta)
+    x = solve_fluctuations(system).amplitudes
+    dx = 1j * np.linalg.solve(system.matrix, x[..., None])[..., 0]
+    k = ORDERING.index("a1_minus")
+    t = 1.0 - 2.0 * p.kappa_a * x[..., k] / system.eps_d
+    dt = -2.0 * p.kappa_a * dx[..., k] / system.eps_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.imag(dt / t)

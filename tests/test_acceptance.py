@@ -37,7 +37,8 @@ from magnomech.response import evaluate_spectrum, group_delay_result, output_fie
 from magnomech.steady_state import magnon_number_sweep, solve_steady_state
 
 from conftest import delta_grid, with_overrides
-from oracles import magnon_population_direct, magnon_population_root
+from oracles import (finite_difference_group_delay, magnon_population_direct,
+                     magnon_population_root, resolvent_group_delay)
 
 
 def _curves(preset_name, grid_points=2001, lo=0.0, hi=2.0):
@@ -45,13 +46,11 @@ def _curves(preset_name, grid_points=2001, lo=0.0, hi=2.0):
     preset = get_preset(preset_name)
     base = preset.resolve()
     grid = np.linspace(lo * base.omega_p, hi * base.omega_p, grid_points)
-    step = preset.fd_step * base.omega_p
     out = []
     for value in preset.curve_values:
         p = apply_override(base, preset.curve_key, value)
         state = solve_steady_state(p)
-        out.append((value, p, state,
-                    evaluate_spectrum(p, state, grid, step=step)))
+        out.append((value, p, state, evaluate_spectrum(p, state, grid)))
     return out
 
 
@@ -380,16 +379,28 @@ SPECTRUM_PRESETS = ("fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c",
 
 
 def test_criterion_9_numerical_hygiene(tmp_path):
-    worst_richardson = (-1.0, "")
+    # the exact group delay against two independent estimators: the 12x12
+    # resolvent derivative (pointwise relative) and an extrapolated central
+    # difference (relative to the curve's largest |tau|)
+    worst_resolvent = worst_fd = (-1.0, "")
     for name in SPECTRUM_PRESETS:
         preset = get_preset(name)
         for value, p, state, spectrum in _curves(name, preset.grid):
-            rich = float(np.max(spectrum.richardson_rel[spectrum.tau_reliable]))
-            if rich > worst_richardson[0]:
-                worst_richardson = (rich, f"{name}[{value:g}]")
-    print(f"criterion 9: worst group-delay step-halving deviation "
-          f"{worst_richardson[0]:.3e} on {worst_richardson[1]}")
-    assert worst_richardson[0] < 1e-4
+            ok = spectrum.tau_reliable
+            tau = spectrum.tau[ok]
+            exact = resolvent_group_delay(p, state, spectrum.delta)[ok]
+            fd = finite_difference_group_delay(p, state, spectrum.delta)[ok]
+            tag = f"{name}[{value:g}]"
+            worst_resolvent = max(worst_resolvent, (float(np.max(
+                np.abs(tau - exact) / np.abs(exact))), tag))
+            worst_fd = max(worst_fd, (float(
+                np.max(np.abs(tau - fd)) / np.max(np.abs(tau))), tag))
+    print(f"criterion 9: worst group-delay deviation from the resolvent "
+          f"derivative {worst_resolvent[0]:.3e} on {worst_resolvent[1]}, "
+          f"from the finite difference {worst_fd[0]:.3e} of max |tau| "
+          f"on {worst_fd[1]}")
+    assert worst_resolvent[0] < 1e-9
+    assert worst_fd[0] < 1e-4
 
     p = apply_override(get_preset("fig3c").resolve(), "f_hz", 2.0e6)
     state = solve_steady_state(p)

@@ -217,6 +217,56 @@ def test_mode_override(tmp_path):
     assert code == 0
 
 
+def test_mode_override_is_validated(config_path, tmp_path, capsys):
+    # the effective baseline has no g_np_hz: switching it to microscopic
+    # must fail like the same config file would, and write nothing
+    out = tmp_path / "x.csv"
+    code = run(["spectrum", "--config", config_path, "--out", str(out),
+                "--grid", "11", "--mode", "microscopic"])
+    assert code == 1
+    assert "microscopic mode requires g_np_hz > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_DELAY_CONFIG = (BASELINE_CONFIG.replace("g1_hz = 1.5e6", "g1_hz = 0")
+                 .replace("G_np_hz = 3.5e6", "G_np_hz = 1.2e6")
+                 .replace("G_au_hz = 6e6", "G_au_hz = 0"))
+
+
+# spectrum's manifest rerun is test_manifest_reproduces_run
+@pytest.mark.parametrize("config, args", [
+    (MICROSCOPIC_CONFIG + "G_np_hz = 3.5e6\n",
+     ["spectrum", "--grid", "51", "--mode", "effective"]),
+    (MICROSCOPIC_CONFIG, ["steady", "--brange", "0:5e-5", "--grid", "6"]),
+    (_DELAY_CONFIG, ["delay", "--sweep", "f", "--grid", "16"]),
+    (BASELINE_CONFIG, ["windows", "--grid", "501"]),
+    (BASELINE_CONFIG, ["sweep", "--set", "f_hz=0,1.5e6", "--grid", "21"]),
+    (BASELINE_CONFIG, ["validate", "--grid", "51"]),
+], ids=["mode", "steady", "delay", "windows", "sweep", "validate"])
+def test_every_manifest_reruns(tmp_path, config, args):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    first = tmp_path / "first.csv"
+    assert run(args + ["--config", str(cfg), "--out", str(first)]) == 0
+    # the manifest carries the mode, so the rerun drops --mode
+    rerun_args = [a for a in args if a not in ("--mode", "effective")]
+    manifest = str(first) + ".manifest.txt"
+    second = tmp_path / "second.csv"
+    assert run(rerun_args + ["--config", manifest, "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    if args[0] == "delay":
+        assert (Path(str(second) + ".crossings.csv").read_bytes()
+                == Path(str(first) + ".crossings.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig2a", "fig8b"])
+def test_preset_manifest_reparses(tmp_path, name):
+    out = tmp_path / "preset.csv"
+    assert run(["preset", name, "--out", str(out), "--grid", "11"]) == 0
+    manifest = Path(str(out) + ".manifest.txt").read_text()
+    assert parse_config(manifest) == PRESETS[name].resolve()
+
+
 def test_preset_fig2a_schema(tmp_path):
     out = tmp_path / "fig2a.csv"
     assert run(["preset", "fig2a", "--out", str(out), "--grid", "6"]) == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,21 @@ def test_microscopic_mode_requirements():
         parse_config(MICRO.replace("B_tesla = 3.3e-5\n", ""))
     with pytest.raises(ConfigError, match="g_np_hz > 0"):
         parse_config(MICRO.replace("g_np_hz = 1e-3", "g_np_hz = 0"))
+
+
+def test_mode_requirements_hold_on_every_path(baseline):
+    # --mode (an override of coupling_mode), --set and direct construction
+    # meet the same check in SystemParams that a config file meets
+    micro = parse_config(MICRO)
+    with pytest.raises(ConfigError, match="g_np_hz > 0"):
+        apply_override(baseline, "coupling_mode", "microscopic")
+    with pytest.raises(ConfigError, match="g_np_hz > 0"):
+        apply_override(micro, "g_np_hz", 0.0)
+    with pytest.raises(ConfigError, match="g_np_hz > 0"):
+        replace(micro, g_np=0.0)
+    with pytest.raises(ConfigError, match="coupling_mode"):
+        parse_config(MICRO.replace("coupling_mode = microscopic",
+                                   "coupling_mode = both"))
 
 
 def test_roundtrip_baselines():

@@ -11,7 +11,8 @@ from magnomech.response import (evaluate_spectrum, group_delay,
 from magnomech.steady_state import solve_steady_state
 
 from conftest import delta_grid, with_overrides
-from oracles import bare_cavity_a1m
+from oracles import (bare_cavity_a1m, finite_difference_group_delay,
+                     resolvent_group_delay)
 
 
 def test_trivial_ladder_at_resonance(decoupled):
@@ -101,22 +102,23 @@ def test_group_delay_bare_cavity(decoupled):
     state = solve_steady_state(decoupled)
     result = group_delay_result(decoupled, state, decoupled.delta_1)
     expected = 2.0 / decoupled.kappa_a
-    assert result.tau == pytest.approx(expected, rel=1e-6)
-    assert result.richardson_rel < 1e-8
+    assert result.tau == pytest.approx(expected, rel=1e-12)
     assert result.reliable
     assert group_delay(decoupled, state, decoupled.delta_1) == result.tau
     assert isinstance(result.tau, float)
 
 
 def test_group_delay_step_halving(fig3c_template):
+    # the exact delay against the resolvent derivative and against a
+    # step-halving extrapolated central difference
     p = with_overrides(fig3c_template, f_hz=2e6)
     state = solve_steady_state(p)
     grid = delta_grid(p, 501, lo=0.5, hi=1.5)
-    spectrum = evaluate_spectrum(p, state, grid)
-    assert float(np.max(spectrum.richardson_rel)) < 1e-4
-    half = evaluate_spectrum(p, state, grid, step=0.5e-6 * p.omega_p)
-    agree = np.abs(spectrum.tau - half.tau) / np.maximum(np.abs(half.tau), 1e-12)
-    assert float(np.max(agree)) < 1e-4
+    tau = evaluate_spectrum(p, state, grid).tau
+    exact = resolvent_group_delay(p, state, grid)
+    assert float(np.max(np.abs(tau - exact) / np.abs(exact))) < 1e-9
+    fd = finite_difference_group_delay(p, state, grid)
+    assert float(np.max(np.abs(tau - fd))) < 1e-4 * float(np.max(np.abs(tau)))
 
 
 def test_group_delay_flags_dark_point(baseline):
@@ -131,10 +133,15 @@ def test_group_delay_flags_dark_point(baseline):
     assert not result.reliable
 
 
-def test_group_delay_rejects_bad_step(baseline):
-    state = solve_steady_state(baseline)
-    with pytest.raises(ResponseError, match="step"):
-        group_delay_result(baseline, state, 0.0, step=0.0)
+def test_group_delay_flags_dark_point_in_grid(baseline):
+    p = with_overrides(baseline, g1_hz=0.0, g2_hz=0.0, G_np_hz=0.0,
+                       G_au_hz=0.0, f_hz=2.1e6, delta_1_hz=0.0,
+                       delta_2_hz=0.0)
+    state = solve_steady_state(p)
+    grid = np.array([-1e6, 0.0, 1e6])
+    result = group_delay_result(p, state, grid)
+    assert result.reliable.tolist() == [True, False, True]
+    assert np.all(np.isfinite(result.tau[[0, 2]]))
 
 
 def test_spectrum_grid_validation(baseline):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from magnomech.errors import ConfigError, ConvergenceError
-from magnomech.params import TWO_PI, rabi_frequency
+from magnomech.params import TWO_PI, apply_override, rabi_frequency
+from magnomech.presets import get_preset
 from magnomech.steady_state import (kerr_validity, magnon_number_sweep,
                                     solve_steady_state)
 
 from conftest import with_overrides
-from oracles import magnon_population_root, steady_equation_residual
+from oracles import (magnon_population_direct, magnon_population_root,
+                     steady_equation_residual)
 
 
 @pytest.fixture()
@@ -41,13 +43,29 @@ def test_undriven_system_is_empty(micro):
 def test_single_decoupled_driven_mode(micro):
     # with every coupling off the driven magnon is a bare damped mode
     p = replace(with_overrides(micro, g1_hz=0.0, g2_hz=0.0, f_hz=0.0,
-                               G_au_hz=0.0), g_np=0.0)
+                               G_au_hz=0.0), g_np=1e-30)
     omega = 1e9
     state = solve_steady_state(p, Omega=omega)
     expected = omega / (p.kappa_n2 + 1j * p.delta_n2)
     assert state.n2s == pytest.approx(expected, rel=1e-12)
     assert state.delta_n2_eff == p.delta_n2
     assert state.a1s == 0j
+
+
+def test_population_matches_direct_solve():
+    # absolute populations on the fig2a grid against the 5x5 direct solve,
+    # which shares none of the production chain-product algebra
+    preset = get_preset("fig2a")
+    base = preset.resolve()
+    b_grid = np.linspace(preset.b_lo, preset.b_hi, preset.b_points)
+    for value in preset.curve_values:
+        p = apply_override(base, preset.curve_key, value)
+        produced = [pt.state.magnon_number
+                    for pt in magnon_number_sweep(p, b_grid).points]
+        direct = [magnon_population_direct(p, rabi_frequency(
+            b, p.sphere_diameter, p.spin_density, p.gyromagnetic_ratio))
+            for b in b_grid]
+        np.testing.assert_allclose(produced, direct, rtol=1e-9, atol=0)
 
 
 def test_back_substitution_residual(micro):
