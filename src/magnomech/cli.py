@@ -1,6 +1,6 @@
 """Command-line front end: presets, custom runs, validation, CSV output.
 
-Exit codes: 0 success, 1 validation/convergence failure, 2 usage error.
+Exit codes: 0 success, 1 validation or residual failure, 2 usage error.
 Every run writes a manifest next to its output; the manifest parses as a
 config document, so re-running from it reproduces the same parameters.
 """
@@ -20,7 +20,7 @@ from .params import TWO_PI, SystemParams, apply_override, parse_config, serializ
 SPECTRUM_HEADER = ["delta_over_omega_p", "re_eout", "im_eout",
                    "re_t", "im_t", "t2", "tau_s"]
 STEADY_HEADER = ["B_tesla", "magnon_number", "re_n2s", "im_n2s",
-                 "delta_n2_eff", "iterations"]
+                 "delta_n2_eff", "roots"]
 WINDOWS_HEADER = ["center_delta_over_omega_p", "depth", "left_peak",
                   "right_peak", "asymmetry"]
 CROSSINGS_HEADER = ["parameter", "value", "direction"]
@@ -38,6 +38,17 @@ def _range_type(text: str) -> tuple[float, float]:
     if hi_f <= lo_f:
         raise argparse.ArgumentTypeError(f"range must satisfy LO < HI: {text!r}")
     return lo_f, hi_f
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _set_type(text: str) -> tuple[str, list[float]]:
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, out_required=True):
         sp.add_argument("--out", required=out_required,
                         help="output CSV path")
-        sp.add_argument("--grid", type=int, default=None,
+        sp.add_argument("--grid", type=_positive_int, default=None,
                         help="number of sweep points")
         sp.add_argument("--range", type=_range_type, default=None,
                         dest="sweep_range", metavar="LO:HI",
@@ -83,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     with_config(sp)
     sp.add_argument("--brange", type=_range_type, default=None,
                     metavar="LO:HI", help="drive field range in tesla")
-    sp.add_argument("--no-warm-start", action="store_true",
-                    help="solve each field point independently")
 
     sp = sub.add_parser("delay", help="group delay along a coupling sweep "
                                       "at fixed probe detuning")
@@ -172,7 +181,7 @@ def _steady_rows(sweep: steady_state.SweepResult):
     for pt in sweep.points:
         s = pt.state
         yield (pt.B, s.magnon_number, s.n2s.real, s.n2s.imag,
-               s.delta_n2_eff, s.iterations)
+               s.delta_n2_eff, s.roots)
 
 
 def _cmd_steady(args, argv) -> int:
@@ -182,13 +191,12 @@ def _cmd_steady(args, argv) -> int:
         grid = np.linspace(lo, hi, args.grid if args.grid else 51)
     else:
         grid = np.array([p.B_field])
-    sweep = steady_state.magnon_number_sweep(
-        p, grid, warm_start=not args.no_warm_start)
+    sweep = steady_state.magnon_number_sweep(p, grid)
+    bistable = sum(pt.state.roots == 3 for pt in sweep.points)
     notes = [f"run: steady points={grid.size} "
-             f"brange={grid[0]:g}:{grid[-1]:g} "
-             f"warm_start={not args.no_warm_start}",
+             f"brange={grid[0]:g}:{grid[-1]:g}",
              f"monotone: strictly_increasing={sweep.strictly_increasing} "
-             f"jump_indices={sweep.jump_indices}"]
+             f"bistable_points={bistable}"]
     csvio.write_csv(args.out, STEADY_HEADER, _steady_rows(sweep))
     _write_manifest(args.out, argv, p, notes)
     return 0

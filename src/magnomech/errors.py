@@ -10,7 +10,7 @@ class ConfigError(SimulatorError, ValueError):
 
 
 class ConvergenceError(SimulatorError, RuntimeError):
-    """Steady-state iteration failed to reach the requested tolerance."""
+    """A steady state failed its equations-residual bound."""
 
 
 class ResponseError(SimulatorError, ArithmeticError):

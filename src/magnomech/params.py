@@ -94,8 +94,6 @@ class SystemParams:
     # probe drive
     P_d: float = 0.0
     omega_d: float | None = None
-    # optional Kerr coefficient for the validity diagnostic
-    kerr_K: float | None = None
 
     def __post_init__(self):
         if self.omega_d is None:
@@ -128,8 +126,6 @@ class SystemParams:
             raise ConfigError("coupling_mode=effective requires G_np_direct")
         if self.coupling_mode == MICROSCOPIC and not self.g_np > 0.0:
             raise ConfigError("microscopic mode requires g_np_hz > 0")
-        if self.kerr_K is not None and self.kerr_K < 0.0:
-            raise ConfigError("kerr_K must be non-negative")
         for omega_name, delta_name in _PAIRS:
             omega = getattr(self, omega_name)
             delta = getattr(self, delta_name)
@@ -170,7 +166,6 @@ _HZ_KEYS = {
     "delta_n1_hz": "delta_n1",
     "delta_n2_hz": "delta_n2",
     "omega_d_hz": "omega_d",
-    "kerr_K_hz": "kerr_K",
     "gyro_hz_per_tesla": "gyromagnetic_ratio",
 }
 
@@ -333,7 +328,7 @@ _SERIAL_HZ_KEYS = (
     "kappa_a_hz", "kappa_p_hz", "kappa_n1_hz", "kappa_n2_hz", "gamma_u_hz",
     "g1_hz", "g2_hz", "f_hz", "G_au_hz", "g_np_hz",
     "delta_1_hz", "delta_2_hz", "delta_u_hz", "delta_n1_hz", "delta_n2_hz",
-    "omega_d_hz", "kerr_K_hz", "gyro_hz_per_tesla",
+    "omega_d_hz", "gyro_hz_per_tesla",
 )
 
 
@@ -342,8 +337,6 @@ def serialize_config(p: SystemParams) -> str:
     lines = [f"coupling_mode = {p.coupling_mode}"]
     for key in _SERIAL_HZ_KEYS:
         value = getattr(p, _HZ_KEYS[key])
-        if value is None:
-            continue
         lines.append(f"{key} = {_fmt(_preimage_hz(value))}")
     if p.G_np_direct is not None:
         g = complex(p.G_np_direct)
@@ -366,7 +359,7 @@ def serialize_config(p: SystemParams) -> str:
 # anything else
 _SIMPLE_OVERRIDES = {
     "kappa_a_hz", "kappa_p_hz", "kappa_n1_hz", "kappa_n2_hz", "gamma_u_hz",
-    "g1_hz", "g2_hz", "f_hz", "G_au_hz", "g_np_hz", "omega_d_hz", "kerr_K_hz",
+    "g1_hz", "g2_hz", "f_hz", "G_au_hz", "g_np_hz", "omega_d_hz",
     "gyro_hz_per_tesla",
 }
 

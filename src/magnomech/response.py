@@ -57,18 +57,6 @@ class LadderCoefficients:
 
 
 @dataclass(frozen=True)
-class ResponsePoint:
-    """Probe response at one detuning (a1m normalised by the probe)."""
-
-    delta: float
-    a1m: complex
-    eout: complex
-    t: complex
-    t2: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Response over an ordered detuning grid, as parallel arrays."""
 
@@ -79,12 +67,6 @@ class Spectrum:
     t2: np.ndarray
     tau: np.ndarray
     tau_reliable: np.ndarray
-
-    def points(self) -> list[ResponsePoint]:
-        return [ResponsePoint(delta=float(d), a1m=complex(a), eout=complex(e),
-                              t=complex(t), t2=float(t2), tau=float(tau))
-                for d, a, e, t, t2, tau in zip(
-                    self.delta, self.a1m, self.eout, self.t, self.t2, self.tau)]
 
 
 @dataclass(frozen=True)

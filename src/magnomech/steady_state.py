@@ -1,17 +1,25 @@
 """Self-consistent steady state of the driven magnon mode.
 
 The driven magnon amplitude obeys a closed form once its effective
-detuning is known, but the detuning itself carries the static phonon
-displacement, which depends on the magnon population.  A damped
-fixed-point iteration on the population closes the loop; at realistic
-single-magnon couplings the shift is tiny and convergence takes a few
-iterations.
+detuning is known, and the detuning carries the static phonon
+displacement, which is linear in the magnon population m.  Closing that
+loop gives the real cubic
+
+    |c1|^2 m^3 + 2 Re(conj(D0) c1) m^2 + |D0|^2 m - |B Omega|^2 = 0,
+
+with D0 and c1 built from the chain products A, B.  Only the constant
+term depends on the drive, so every drive value of a sweep is solved at
+once, in closed form.  The reported population is the lowest positive
+root, the branch an ascending drive reaches from zero; where the cubic
+has three positive roots the point is bistable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .params import EFFECTIVE, MICROSCOPIC, SystemParams, rabi_frequency
@@ -32,15 +40,8 @@ class SteadyState:
     delta_n2_eff: float      # magnomechanically shifted magnon detuning
     G_np_eff: complex        # i*sqrt(2)*g_np*n2s (or the direct input)
     magnon_number: float     # |n2s|^2
-    iterations: int
+    roots: int               # positive roots of the cubic: 1, 3 if bistable
     residual: float          # max relative residual of the steady equations
-
-
-@dataclass(frozen=True)
-class KerrDiagnostic:
-    ratio: float
-    ok: bool
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class SweepPoint:
 class SweepResult:
     points: list[SweepPoint]
     strictly_increasing: bool
-    jump_indices: list[int]
 
 
 def _chain_coefficients(p: SystemParams) -> tuple[complex, complex]:
@@ -67,18 +67,48 @@ def _chain_coefficients(p: SystemParams) -> tuple[complex, complex]:
     return A, B
 
 
-def _n2s_of(p: SystemParams, A: complex, B: complex, Omega: float,
-            delta_eff: float) -> complex:
-    cn1 = p.kappa_n1 + 1j * p.delta_n1
-    denom = B * (p.kappa_n2 + 1j * delta_eff) + A * p.g2 ** 2 * cn1
-    return B * Omega / denom
-
-
-def _shifted_detuning(p: SystemParams, magnon_number: float) -> float:
-    # delta_n2 + 2 g_np Re(ps) with ps = -i g_np m / (kappa_p + i omega_p)
-    shift = -2.0 * p.g_np ** 2 * p.omega_p * magnon_number / (
+def _phonon_shift(p: SystemParams, magnon_number: float) -> float:
+    # 2 g_np Re(ps) with ps = -i g_np m / (kappa_p + i omega_p)
+    return -2.0 * p.g_np ** 2 * p.omega_p * magnon_number / (
         p.kappa_p ** 2 + p.omega_p ** 2)
-    return p.delta_n2 + shift
+
+
+def _populations(p: SystemParams, A: complex, B: complex,
+                 Omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest positive root of the steady cubic and the root count, per drive.
+
+    With m_lin = |B Omega / D0|^2, the population without the phonon shift,
+    and m = m_lin / y, the cubic becomes the monic
+    y^3 - y^2 - 2 Re(u) y - |u|^2 = 0 with u = c1 m_lin / D0, which stays
+    finite however weak the coupling.  The lowest m is its largest real
+    root.  The cubic has three distinct positive roots exactly where its
+    discriminant is positive; elsewhere the count is 1, also on a fold,
+    where two roots coincide.
+    """
+    cn1 = p.kappa_n1 + 1j * p.delta_n1
+    D0 = B * (p.kappa_n2 + 1j * p.delta_n2) + A * p.g2 ** 2 * cn1
+    m_lin = (abs(B / D0) * Omega) ** 2
+    u = 1j * B * _phonon_shift(p, 1.0) / D0 * m_lin
+    ur, ui = u.real, u.imag
+    e2, e3 = 2.0 * ur, ur * ur + ui * ui
+    # each branch is evaluated everywhere and selected below; a population
+    # that overflows is left to the residual check of the back-substitution
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the discriminant, written in u so that it does not cancel at small u
+        disc = (-4.0 * ui * ui - 4.0 * ur ** 3 - 36.0 * ur * ui * ui
+                - 27.0 * e3 * e3)
+        # depressed cubic t^3 + P t + Q = 0 with y = t + 1/3
+        P = -e2 - 1.0 / 3.0
+        Q = -2.0 / 27.0 - e2 / 3.0 - e3
+        r = np.sqrt(-P / 3.0)
+        z = np.minimum(np.maximum(-Q / (2.0 * r ** 3), -1.0), 1.0)
+        three = 2.0 * r * np.cos(np.arccos(z) / 3.0)
+        w = np.cbrt(-Q / 2.0 - np.copysign(np.sqrt(-disc / 108.0), Q))
+        one = w - P / (3.0 * w)
+        y = np.where(disc > 0.0, three, one) + 1.0 / 3.0
+        # one Newton step on the cubic polishes the closed form
+        y = y - (((y - 1.0) * y - e2) * y - e3) / ((3.0 * y - 2.0) * y - e2)
+    return m_lin / y, 1 + 2 * (disc > 0.0)
 
 
 def equations_residual(p: SystemParams, s: SteadyState, Omega: float) -> float:
@@ -104,64 +134,14 @@ def equations_residual(p: SystemParams, s: SteadyState, Omega: float) -> float:
     return worst
 
 
-def _effective_embedding(p: SystemParams) -> SteadyState:
-    # No drive is specified in effective mode; the amplitudes are not
-    # meaningful and only G_np_eff / delta_n2_eff feed the response.
-    return SteadyState(a1s=0j, a2s=0j, n1s=0j, n2s=0j, us=0j, ps=0j,
-                       delta_n2_eff=p.delta_n2, G_np_eff=p.G_np_direct,
-                       magnon_number=0.0, iterations=0, residual=0.0)
-
-
-def solve_steady_state(p: SystemParams, Omega: float | None = None,
-                       tol: float = 1e-12, max_iter: int = 10000,
-                       warm_start: float | None = None) -> SteadyState:
-    """Solve the coupled steady equations self-consistently.
-
-    ``Omega`` defaults to the Rabi rate implied by the configured drive
-    field.  ``warm_start`` seeds the magnon-population iteration (used by
-    sweeps to follow a branch continuously).  In effective mode there is
-    nothing to iterate and the direct coupling is embedded as-is.
-    """
-    if p.coupling_mode == EFFECTIVE:
-        return _effective_embedding(p)
-
-    if Omega is None:
-        Omega = 0.0 if p.B_field == 0.0 else rabi_frequency(
-            p.B_field, p.sphere_diameter, p.spin_density, p.gyromagnetic_ratio)
-    if Omega < 0.0:
-        raise ConfigError("Omega must be non-negative")
-
-    A, B = _chain_coefficients(p)
-    m = 0.0 if warm_start is None else float(warm_start)
-    damp = 1.0
-    prev_step = 0.0
-    rel = math.inf
-    n2s = 0j
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        delta_eff = _shifted_detuning(p, m)
-        n2s = _n2s_of(p, A, B, Omega, delta_eff)
-        step = abs(n2s) ** 2 - m
-        if step * prev_step < 0.0:
-            damp = 0.5  # oscillating update: damp the remainder of the run
-        m_next = m + damp * step
-        rel = abs(m_next - m) / max(abs(m_next), 1e-300)
-        m = m_next
-        prev_step = step
-        if rel <= tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"steady state did not converge in {max_iter} iterations "
-            f"(last relative residual {rel:.3e})")
-
-    # one closing pass so every stored quantity derives from the final m
-    delta_eff = _shifted_detuning(p, m)
-    n2s = _n2s_of(p, A, B, Omega, delta_eff)
-    m = abs(n2s) ** 2
+def _back_substitute(p: SystemParams, A: complex, B: complex, Omega: float,
+                     m: float, roots: int) -> SteadyState:
+    """Every amplitude from the population ``m``, checked against the
+    steady equations."""
     cn1 = p.kappa_n1 + 1j * p.delta_n1
+    delta_eff = p.delta_n2 + _phonon_shift(p, m)
+    n2s = B * Omega / (B * (p.kappa_n2 + 1j * delta_eff) + A * p.g2 ** 2 * cn1)
+    m = abs(n2s) ** 2
     ps = -1j * p.g_np * m / (p.kappa_p + 1j * p.omega_p)
     a1s = -1j * p.g2 * A * cn1 * n2s / B
     n1s = -1j * p.g1 * a1s / cn1
@@ -169,11 +149,12 @@ def solve_steady_state(p: SystemParams, Omega: float | None = None,
     us = -1j * p.G_au * a2s / (p.gamma_u + 1j * p.delta_u)
 
     state = SteadyState(a1s=a1s, a2s=a2s, n1s=n1s, n2s=n2s, us=us, ps=ps,
-                        delta_n2_eff=_shifted_detuning(p, m),
+                        delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
                         G_np_eff=1j * _SQRT2 * p.g_np * n2s,
-                        magnon_number=m, iterations=iterations,
-                        residual=0.0)
-    residual = equations_residual(p, state, Omega)
+                        magnon_number=m, roots=roots, residual=0.0)
+    # an overflowing population makes every equation NaN, which max() skips
+    residual = (equations_residual(p, state, Omega) if math.isfinite(m)
+                else math.inf)
     if residual > 1e-8:
         raise ConvergenceError(
             f"steady-state back-substitution residual {residual:.3e} "
@@ -181,63 +162,66 @@ def solve_steady_state(p: SystemParams, Omega: float | None = None,
     return replace(state, residual=residual)
 
 
-def magnon_number_sweep(p: SystemParams, B_grid, warm_start: bool = True,
-                        tol: float = 1e-12,
-                        max_iter: int = 10000) -> SweepResult:
-    """One converged solve per field value, warm-started along the grid.
+def _effective_embedding(p: SystemParams) -> SteadyState:
+    # No drive is specified in effective mode; the amplitudes are not
+    # meaningful, no cubic is solved (roots = 0) and only G_np_eff /
+    # delta_n2_eff feed the response.
+    return SteadyState(a1s=0j, a2s=0j, n1s=0j, n2s=0j, us=0j, ps=0j,
+                       delta_n2_eff=p.delta_n2, G_np_eff=p.G_np_direct,
+                       magnon_number=0.0, roots=0, residual=0.0)
 
-    Warm starting follows the solution branch continuously; disabling it
-    solves each point independently from a zero population.
+
+def solve_steady_state(p: SystemParams,
+                       Omega: float | None = None) -> SteadyState:
+    """Solve the coupled steady equations self-consistently.
+
+    ``Omega`` defaults to the Rabi rate implied by the configured drive
+    field.  The population is the lowest positive root of the steady
+    cubic; ``roots`` tells whether the point is bistable.  In effective
+    mode there is nothing to solve and the direct coupling is embedded
+    as-is.
+    """
+    if p.coupling_mode == EFFECTIVE:
+        return _effective_embedding(p)
+
+    if Omega is None:
+        Omega = rabi_frequency(p.B_field, p.sphere_diameter, p.spin_density,
+                               p.gyromagnetic_ratio)
+    if Omega < 0.0:
+        raise ConfigError("Omega must be non-negative")
+
+    A, B = _chain_coefficients(p)
+    m, roots = _populations(p, A, B, np.float64(Omega))
+    return _back_substitute(p, A, B, Omega, float(m), int(roots))
+
+
+def magnon_number_sweep(p: SystemParams, B_grid) -> SweepResult:
+    """The steady state at every field value, from one batched solve.
+
+    Each point reports the lowest positive population, so an ascending
+    sweep jumps where its branch ends, on the first point past a bistable
+    run (``roots`` back to 1).
     """
     if p.coupling_mode != MICROSCOPIC:
         raise ConfigError("magnon_number_sweep requires microscopic mode")
-    B_grid = list(B_grid)
+    B_grid = [float(b) for b in B_grid]
     if any(b2 <= b1 for b1, b2 in zip(B_grid, B_grid[1:])):
         raise ConfigError("B_grid must be sorted strictly ascending")
 
-    def solve_at(B: float, seed: float | None) -> SweepPoint:
-        Omega = 0.0 if B == 0.0 else rabi_frequency(
-            B, p.sphere_diameter, p.spin_density, p.gyromagnetic_ratio)
+    Omega = [rabi_frequency(b, p.sphere_diameter, p.spin_density,
+                            p.gyromagnetic_ratio) for b in B_grid]
+    A, B = _chain_coefficients(p)
+    populations, roots = _populations(p, A, B, np.array(Omega, dtype=float))
+    points: list[SweepPoint] = []
+    for b, omega, m, r in zip(B_grid, Omega, populations.tolist(),
+                              roots.tolist()):
         try:
-            state = solve_steady_state(p, Omega, tol=tol, max_iter=max_iter,
-                                       warm_start=seed)
+            state = _back_substitute(p, A, B, omega, m, r)
         except ConvergenceError as exc:
-            raise ConvergenceError(f"B = {B!r} T: {exc}") from exc
-        return SweepPoint(B=B, state=state)
-
-    if warm_start:
-        # sequential by construction: each point seeds the next
-        points: list[SweepPoint] = []
-        seed: float | None = None
-        for B in B_grid:
-            pt = solve_at(B, seed)
-            points.append(pt)
-            seed = pt.state.magnon_number
-    else:
-        points = [solve_at(B, None) for B in B_grid]
+            raise ConvergenceError(f"B = {b!r} T: {exc}") from exc
+        points.append(SweepPoint(B=b, state=state))
 
     numbers = [pt.state.magnon_number for pt in points]
     diffs = [b - a for a, b in zip(numbers, numbers[1:])]
     strictly_increasing = bool(diffs) and all(d > 0.0 for d in diffs)
-    jump_indices: list[int] = []
-    if len(diffs) >= 10:
-        magnitudes = sorted(abs(d) for d in diffs)
-        median = magnitudes[len(magnitudes) // 2]
-        if median > 0.0:
-            jump_indices = [i + 1 for i, d in enumerate(diffs)
-                            if abs(d) > 5.0 * median]
-    return SweepResult(points=points, strictly_increasing=strictly_increasing,
-                       jump_indices=jump_indices)
-
-
-def kerr_validity(state: SteadyState, K: float, Omega: float,
-                  threshold: float = 0.01) -> KerrDiagnostic:
-    """Ratio K |n2s|^3 / Omega that must stay small for the linear model."""
-    if K < 0.0:
-        raise ConfigError("K must be non-negative")
-    numerator = K * abs(state.n2s) ** 3
-    if Omega > 0.0:
-        ratio = numerator / Omega
-    else:
-        ratio = 0.0 if numerator == 0.0 else math.inf
-    return KerrDiagnostic(ratio=ratio, ok=ratio < threshold, threshold=threshold)
+    return SweepResult(points=points, strictly_increasing=strictly_increasing)

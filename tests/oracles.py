@@ -63,6 +63,27 @@ def magnon_population_root(p, Omega):
     return brentq(f, 0.0, upper, xtol=1e-30, rtol=1e-15, maxiter=200)
 
 
+def _n2s_direct(p, Omega, m):
+    """Driven magnon amplitude at a trial population m, by a 5x5 solve.
+
+    The phonon equation gives ps, which shifts the magnon detuning by
+    2 g_np Re(ps); the five amplitude equations are then linear in
+    (a1s, a2s, us, n1s, n2s).
+    """
+    ps = -1j * p.g_np * m / (p.kappa_p + 1j * p.omega_p)
+    delta_eff = p.delta_n2 + 2.0 * p.g_np * ps.real
+    # rows: a1, a2, u, n1, n2 equations; columns: a1s, a2s, us, n1s, n2s
+    M = np.array([
+        [p.kappa_a + 1j * p.delta_1, 1j * p.f, 0, 1j * p.g1, 1j * p.g2],
+        [1j * p.f, p.kappa_a + 1j * p.delta_2, 1j * p.G_au, 0, 0],
+        [0, 1j * p.G_au, p.gamma_u + 1j * p.delta_u, 0, 0],
+        [1j * p.g1, 0, 0, p.kappa_n1 + 1j * p.delta_n1, 0],
+        [1j * p.g2, 0, 0, 0, p.kappa_n2 + 1j * delta_eff],
+    ], dtype=complex)
+    rhs = np.array([0, 0, 0, 0, Omega], dtype=complex)
+    return np.linalg.solve(M, rhs)[4]
+
+
 def magnon_population_direct(p, Omega):
     """Magnon population from a direct linear solve of the steady equations.
 
@@ -74,18 +95,7 @@ def magnon_population_direct(p, Omega):
     production solver.
     """
     def n2s(m):
-        ps = -1j * p.g_np * m / (p.kappa_p + 1j * p.omega_p)
-        delta_eff = p.delta_n2 + 2.0 * p.g_np * ps.real
-        # rows: a1, a2, u, n1, n2 equations; columns: a1s, a2s, us, n1s, n2s
-        M = np.array([
-            [p.kappa_a + 1j * p.delta_1, 1j * p.f, 0, 1j * p.g1, 1j * p.g2],
-            [1j * p.f, p.kappa_a + 1j * p.delta_2, 1j * p.G_au, 0, 0],
-            [0, 1j * p.G_au, p.gamma_u + 1j * p.delta_u, 0, 0],
-            [1j * p.g1, 0, 0, p.kappa_n1 + 1j * p.delta_n1, 0],
-            [1j * p.g2, 0, 0, 0, p.kappa_n2 + 1j * delta_eff],
-        ], dtype=complex)
-        rhs = np.array([0, 0, 0, 0, Omega], dtype=complex)
-        return np.linalg.solve(M, rhs)[4]
+        return _n2s_direct(p, Omega, m)
 
     if Omega == 0.0:
         return 0.0
@@ -93,6 +103,26 @@ def magnon_population_direct(p, Omega):
     f = lambda m: m - abs(n2s(m)) ** 2
     assert f(0.0) <= 0.0 and f(upper) > 0.0, "root not bracketed"
     return brentq(f, 0.0, upper, xtol=1e-30, rtol=1e-15, maxiter=200)
+
+
+def magnon_population_roots_direct(p, Omega, span=1e6, points=4001):
+    """Every positive solution of m = |n2s(m)|^2, ascending.
+
+    g(m) = m - |n2s(m)|^2, with n2s from the 5x5 direct solve, is sampled
+    on a log grid spanning ``span`` either way of the unshifted population
+    |n2s(0)|^2; each sign change is refined by a bracketing root find.
+    Roots closer together than one grid step are not resolved.
+    """
+    def g(m):
+        return m - abs(_n2s_direct(p, Omega, m)) ** 2
+
+    m0 = abs(_n2s_direct(p, Omega, 0.0)) ** 2
+    grid = np.geomspace(m0 / span, m0 * span, points)
+    values = np.array([g(m) for m in grid])
+    assert values[0] < 0.0 < values[-1], "roots not bracketed by the grid"
+    changes = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+    return [brentq(g, grid[k], grid[k + 1], xtol=1e-30, rtol=1e-15,
+                   maxiter=200) for k in changes]
 
 
 def bare_cavity_a1m(p, delta):

@@ -50,6 +50,19 @@ def test_missing_config_file(tmp_path):
                 "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("grid", ["0", "-5"])
+@pytest.mark.parametrize("subcommand", ["steady", "spectrum", "validate",
+                                        "preset"])
+def test_non_positive_grid_is_usage_error(subcommand, grid, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(MICROSCOPIC_CONFIG)
+    source = ["fig2a"] if subcommand == "preset" else ["--config", str(cfg)]
+    assert run([subcommand, *source, "--out", str(out), "--grid", grid]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_returns_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(BASELINE_CONFIG.replace("kappa_a_hz = 2.1e6",
@@ -164,7 +177,7 @@ def test_steady_subcommand_schema(tmp_path):
     assert code == 0
     header, rows = _read_csv(out)
     assert header == ["B_tesla", "magnon_number", "re_n2s", "im_n2s",
-                      "delta_n2_eff", "iterations"]
+                      "delta_n2_eff", "roots"]
     assert len(rows) == 11
     assert rows[0][1] == 0.0
     assert rows[-1][1] > 0.0
@@ -272,7 +285,7 @@ def test_preset_fig2a_schema(tmp_path):
     assert run(["preset", "fig2a", "--out", str(out), "--grid", "6"]) == 0
     header, rows = _read_csv(out)
     assert header == ["f_over_omega_p", "B_tesla", "magnon_number",
-                      "re_n2s", "im_n2s", "delta_n2_eff", "iterations"]
+                      "re_n2s", "im_n2s", "delta_n2_eff", "roots"]
     assert len(rows) == 24  # 4 curves x 6 field points
 
 

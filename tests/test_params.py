@@ -43,7 +43,6 @@ def test_section3_defaults():
     assert p.spin_density == 4.22e27
     assert p.gyromagnetic_ratio == TWO_PI * 28e9
     assert p.omega_d == p.omega_0
-    assert p.kerr_K is None
 
 
 def test_unit_convention_sentinel():
@@ -68,7 +67,6 @@ delta_u_hz = 59.0
 delta_n1_hz = 61.0
 delta_n2_hz = 67.0
 omega_d_hz = 71.0
-kerr_K_hz = 73.0
 gyro_hz_per_tesla = 79.0
 B_tesla = 0.5
 sphere_diameter_m = 1e-4
@@ -81,7 +79,7 @@ P_d_watt = 2.0
         "kappa_n1": 17.0, "kappa_n2": 19.0, "gamma_u": 23.0, "g1": 29.0,
         "g2": 31.0, "f": 37.0, "G_au": 41.0, "g_np": 43.0, "delta_1": 47.0,
         "delta_2": 53.0, "delta_u": 59.0, "delta_n1": 61.0, "delta_n2": 67.0,
-        "omega_d": 71.0, "kerr_K": 73.0, "gyromagnetic_ratio": 79.0,
+        "omega_d": 71.0, "gyromagnetic_ratio": 79.0,
     }
     for field, hz in expected.items():
         assert getattr(p, field) == TWO_PI * hz, field
@@ -106,6 +104,7 @@ def test_detuning_derived_from_explicit_frequency():
     ("kappa_a_hz = 2.1e6", "kappa_a_hz = -1", "negative or zero rate"),
     ("", "omega_n2_hz = 11e9\ndelta_n2_hz = 10e6\n", "inconsistent"),
     ("", "bogus_key = 1.0\n", "unknown key"),
+    ("", "kerr_K_hz = 73.0\n", "unknown key"),
     ("", "omega_p_hz = 1e7\n", "duplicate key"),
     ("g1_hz = 1.5e6", "g1_hz = fast", "invalid number"),
     ("G_au_hz = 6e6", "G_au_hz =", "empty value"),

@@ -154,13 +154,12 @@ def test_spectrum_points_view(baseline):
     state = solve_steady_state(baseline)
     grid = delta_grid(baseline, 21)
     spectrum = evaluate_spectrum(baseline, state, grid)
-    points = spectrum.points()
-    assert len(points) == 21
-    sample = points[7]
-    assert sample.delta == grid[7]
-    assert sample.eout == 2.0 * baseline.kappa_a * sample.a1m
-    assert sample.t == 1.0 - sample.eout
-    assert sample.t2 == abs(sample.t) ** 2
+    assert spectrum.delta.shape == spectrum.t.shape == (21,)
+    np.testing.assert_array_equal(spectrum.delta, grid)
+    np.testing.assert_array_equal(spectrum.eout,
+                                  2.0 * baseline.kappa_a * spectrum.a1m)
+    np.testing.assert_array_equal(spectrum.t, 1.0 - spectrum.eout)
+    np.testing.assert_array_equal(spectrum.t2, np.abs(spectrum.t) ** 2)
 
 
 def test_non_finite_detuning_reported(baseline):

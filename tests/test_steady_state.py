@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from magnomech.errors import ConfigError, ConvergenceError
-from magnomech.params import TWO_PI, apply_override, rabi_frequency
+from magnomech.params import apply_override, rabi_frequency
 from magnomech.presets import get_preset
-from magnomech.steady_state import (kerr_validity, magnon_number_sweep,
-                                    solve_steady_state)
+from magnomech.steady_state import magnon_number_sweep, solve_steady_state
 
 from conftest import with_overrides
 from oracles import (magnon_population_direct, magnon_population_root,
-                     steady_equation_residual)
+                     magnon_population_roots_direct, steady_equation_residual)
 
 
 @pytest.fixture()
@@ -27,7 +26,7 @@ def test_effective_mode_embedding(baseline):
     assert state.G_np_eff == baseline.G_np_direct
     assert state.delta_n2_eff == baseline.delta_n2
     assert state.magnon_number == 0.0
-    assert state.iterations == 0
+    assert state.roots == 0
     for name in ("a1s", "a2s", "n1s", "n2s", "us", "ps"):
         assert getattr(state, name) == 0j
 
@@ -124,7 +123,7 @@ def test_sweep_monotone_in_drive_field(micro):
     grid = np.linspace(2e-6, 5e-5, 25)
     sweep = magnon_number_sweep(micro, grid)
     assert sweep.strictly_increasing
-    assert sweep.jump_indices == []
+    assert all(pt.state.roots == 1 for pt in sweep.points)
     numbers = [pt.state.magnon_number for pt in sweep.points]
     assert all(b > a for a, b in zip(numbers, numbers[1:]))
 
@@ -135,13 +134,12 @@ def test_sweep_single_zero_point(micro):
     assert sweep.points[0].state.magnon_number == 0.0
 
 
-def test_sweep_warm_and_cold_start_agree(micro):
+def test_sweep_matches_pointwise_solves(micro):
+    # the batched sweep and one-point solves give the same states exactly
     grid = np.linspace(1e-5, 5e-5, 9)
-    warm = magnon_number_sweep(micro, grid, warm_start=True)
-    cold = magnon_number_sweep(micro, grid, warm_start=False)
-    for a, b in zip(warm.points, cold.points):
-        assert a.state.magnon_number == pytest.approx(
-            b.state.magnon_number, rel=1e-10)
+    sweep = magnon_number_sweep(micro, grid)
+    for b, pt in zip(grid, sweep.points):
+        assert pt.state == solve_steady_state(with_overrides(micro, B_tesla=b))
 
 
 def test_sweep_requires_sorted_grid(micro):
@@ -155,15 +153,20 @@ def test_sweep_rejects_effective_mode(baseline):
 
 
 def test_continuity_over_dense_grid(micro):
-    # adjacent points differ by O(dB): no flagged jumps on a smooth branch
+    # one root at every point: a single smooth branch
     grid = np.linspace(1e-6, 5e-5, 50)
     sweep = magnon_number_sweep(micro, grid)
-    assert sweep.jump_indices == []
+    assert all(pt.state.roots == 1 for pt in sweep.points)
 
 
 def test_non_convergence_reports_residual(micro):
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        solve_steady_state(micro, max_iter=1)
+    # at an absurd coupling the population overflows; the residual bound
+    # must reject it rather than return NaN amplitudes
+    p = with_overrides(micro, g_np_hz=1e40, B_tesla=1.0)
+    with pytest.raises(ConvergenceError, match="residual inf exceeds"):
+        solve_steady_state(p)
+    with pytest.raises(ConvergenceError, match=r"B = 1\.0 T: .*residual"):
+        magnon_number_sweep(p, [0.0, 1.0])
 
 
 def test_negative_drive_rejected(micro):
@@ -171,39 +174,53 @@ def test_negative_drive_rejected(micro):
         solve_steady_state(micro, Omega=-1.0)
 
 
-# --- Kerr validity diagnostic ----------------------------------------------
+# --- the cubic's roots -------------------------------------------------------
 
-def test_kerr_zero_coefficient(micro):
-    state = solve_steady_state(micro)
-    diag = kerr_validity(state, 0.0, 1e9)
-    assert diag.ratio == 0.0 and diag.ok
-
-
-def test_kerr_undriven(micro):
-    state = solve_steady_state(micro, Omega=0.0)
-    diag = kerr_validity(state, 1e-3, 0.0)
-    assert diag.ratio == 0.0 and diag.ok
+def _omega(p, b):
+    return rabi_frequency(b, p.sphere_diameter, p.spin_density,
+                          p.gyromagnetic_ratio)
 
 
-def test_kerr_zero_drive_with_population(micro):
-    state = solve_steady_state(micro)
-    diag = kerr_validity(state, 1e-3, 0.0)
-    assert math.isinf(diag.ratio) and not diag.ok
+@pytest.fixture()
+def bistable(micro_baseline):
+    """A point where the steady cubic has three positive roots at 1 uT."""
+    return with_overrides(micro_baseline, g_np_hz=1.0, delta_n2_hz=5e6)
 
 
-def test_kerr_baseline_ratio(micro):
-    # K/2pi = 10 nHz is a typical Kerr-per-magnon scale for a 250 um sphere
-    omega = rabi_frequency(micro.B_field, micro.sphere_diameter,
-                           micro.spin_density, micro.gyromagnetic_ratio)
-    state = solve_steady_state(micro)
-    K = TWO_PI * 1e-8
-    diag = kerr_validity(state, K, omega)
-    assert diag.ratio == pytest.approx(
-        K * state.magnon_number ** 1.5 / omega, rel=1e-12)
-    assert diag.ok == (diag.ratio < 0.01)
+def test_strong_coupling_single_root(micro_baseline):
+    # g_np/2pi = 5 Hz: a strongly shifted but unique steady state
+    p = with_overrides(micro_baseline, g_np_hz=5.0, B_tesla=1e-5)
+    state = solve_steady_state(p)
+    assert state.roots == 1
+    (root,) = magnon_population_roots_direct(p, _omega(p, 1e-5))
+    assert state.magnon_number == pytest.approx(root, rel=1e-9)
+    assert state.magnon_number == pytest.approx(4.6525e12, rel=1e-4)
 
 
-def test_kerr_rejects_negative_coefficient(micro):
-    state = solve_steady_state(micro)
-    with pytest.raises(ConfigError, match="non-negative"):
-        kerr_validity(state, -1.0, 1.0)
+def test_bistable_point_reports_lowest_of_three_roots(bistable):
+    p = with_overrides(bistable, B_tesla=1e-6)
+    state = solve_steady_state(p)
+    assert state.roots == 3
+    roots = magnon_population_roots_direct(p, _omega(p, 1e-6))
+    assert len(roots) == 3
+    np.testing.assert_allclose(roots, [3.8195e11, 2.0798e13, 2.662e13],
+                               rtol=1e-4)
+    assert state.magnon_number == pytest.approx(roots[0], rel=1e-9)
+
+
+def test_ascending_sweep_jumps_once_where_the_branch_ends(bistable):
+    grid = np.linspace(1e-7, 6e-6, 60)
+    sweep = magnon_number_sweep(bistable, grid)
+    roots = [pt.state.roots for pt in sweep.points]
+    runs = [r for k, r in enumerate(roots) if k == 0 or r != roots[k - 1]]
+    assert runs == [1, 3, 1]
+    # the population per unit drive power changes slowly along a branch and
+    # at least doubles where the lower branch ends
+    chi = [pt.state.magnon_number / pt.B ** 2 for pt in sweep.points]
+    jumps = [k for k in range(1, len(chi)) if chi[k] > 2.0 * chi[k - 1]]
+    assert jumps == [roots.index(1, roots.index(3))]
+    for k in (0, len(grid) // 2, jumps[0], len(grid) - 1):
+        lowest = magnon_population_roots_direct(
+            bistable, _omega(bistable, grid[k]))[0]
+        assert sweep.points[k].state.magnon_number == pytest.approx(
+            lowest, rel=1e-9)
