@@ -7,8 +7,8 @@ from .errors import (ConfigError, ConvergenceError, OracleError,
                      ResponseError, SimulatorError)
 from .oracle import (FluctuationSystem, OracleSolution, build_fluctuation_matrix,
                      cross_validate, solve_fluctuations)
-from .params import (SystemParams, apply_override, drive_amplitude,
-                     parse_config, rabi_frequency, serialize_config)
+from .params import (SystemParams, apply_override, parse_config,
+                     rabi_frequency, serialize_config)
 from .presets import PRESETS, baseline_params, get_preset, microscopic_params
 from .response import (LadderCoefficients, Spectrum, evaluate_spectrum,
                        group_delay, group_delay_result, ladder_coefficients,
@@ -21,7 +21,7 @@ __all__ = [
     "ResponseError", "SimulatorError", "Spectrum", "SteadyState",
     "SystemParams", "Window", "WindowReport", "apply_override",
     "baseline_params", "build_fluctuation_matrix", "cross_validate",
-    "delay_sign_crossings", "drive_amplitude", "evaluate_spectrum",
+    "delay_sign_crossings", "evaluate_spectrum",
     "fano_asymmetry", "find_windows", "get_preset", "group_delay",
     "group_delay_result", "ladder_coefficients", "magnon_number_sweep",
     "microscopic_params", "output_field", "parse_config", "probe_response",

@@ -118,6 +118,12 @@ def fano_asymmetry(window: Window) -> float:
 
 _SWEEPABLE = ("f", "G_au")
 
+#: relative parameter resolution to which a delay sign change is bisected
+REL_RESOLUTION = 1e-4
+
+#: most response evaluations (combinations x detunings) one sweep may make
+SWEEP_BUDGET = 10 ** 6
+
 
 def _tau_at(p: SystemParams, parameter: str, value: float, fixed_delta: float):
     p2 = replace(p, **{parameter: float(value)})
@@ -126,12 +132,11 @@ def _tau_at(p: SystemParams, parameter: str, value: float, fixed_delta: float):
 
 
 def delay_sign_crossings(p: SystemParams, parameter: str, grid,
-                         fixed_delta: float,
-                         rel_resolution: float = 1e-4) -> CrossingReport:
+                         fixed_delta: float) -> CrossingReport:
     """Locate group-delay sign changes along a coupling sweep.
 
     Each sign change between adjacent grid points is refined by bisection
-    to ``rel_resolution`` relative parameter resolution.  Brackets with an
+    to ``REL_RESOLUTION`` relative parameter resolution.  Brackets with an
     unreliable delay value (|t| ~ 0) are reported, not refined.
     """
     if parameter not in _SWEEPABLE:
@@ -155,7 +160,7 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
         direction = "pos->neg" if rl.tau > 0 else "neg->pos"
         tau_lo = rl.tau
         a, b = lo, hi
-        while (b - a) > rel_resolution * max(abs(a), abs(b), 1e-300):
+        while (b - a) > REL_RESOLUTION * max(abs(a), abs(b), 1e-300):
             mid = 0.5 * (a + b)
             r_mid = _tau_at(p, parameter, mid, fixed_delta)
             if not r_mid.reliable:
@@ -173,13 +178,12 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
     return CrossingReport(crossings=crossings, invalid=invalid, samples=samples)
 
 
-def sweep_spectrum(p: SystemParams, sweep_spec, deltas,
-                   budget: int = 10 ** 6):
+def sweep_spectrum(p: SystemParams, sweep_spec, deltas):
     """Yield (overrides, Spectrum) over a 1- or 2-parameter Cartesian sweep.
 
     ``sweep_spec`` is a list of (config_key, values) pairs, values in file
     units.  The total number of response evaluations is capped by
-    ``budget``.
+    ``SWEEP_BUDGET``.
     """
     spec = [(str(key), [float(v) for v in values]) for key, values in sweep_spec]
     if not 1 <= len(spec) <= 2:
@@ -188,10 +192,10 @@ def sweep_spectrum(p: SystemParams, sweep_spec, deltas,
     combos = 1
     for _, values in spec:
         combos *= len(values)
-    if combos * d.size > budget:
+    if combos * d.size > SWEEP_BUDGET:
         raise ConfigError(
             f"sweep budget exceeded: {combos} combinations x {d.size} "
-            f"detunings > {budget}")
+            f"detunings > {SWEEP_BUDGET}")
 
     if combos == 0:
         return

@@ -72,26 +72,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and oracle validation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, out_required=True):
+    def common(sp, out_required=True, sweep_range=True):
         sp.add_argument("--out", required=out_required,
                         help="output CSV path")
         sp.add_argument("--grid", type=_positive_int, default=None,
                         help="number of sweep points")
-        sp.add_argument("--range", type=_range_type, default=None,
-                        dest="sweep_range", metavar="LO:HI",
-                        help="sweep range in omega_p units")
-        sp.add_argument("--mode", choices=["effective", "microscopic"],
-                        default=None, help="override the coupling mode")
+        if sweep_range:
+            sp.add_argument("--range", type=_range_type, default=None,
+                            dest="sweep_range", metavar="LO:HI",
+                            help="sweep range in omega_p units")
 
     def with_config(sp, **kw):
         sp.add_argument("--config", required=True, help="config file path")
         common(sp, **kw)
+        sp.add_argument("--mode", choices=["effective", "microscopic"],
+                        default=None, help="override the coupling mode")
 
     with_config(sub.add_parser("spectrum", help="probe response over a "
                                                 "detuning grid"))
     sp = sub.add_parser("steady", help="steady magnon number over a drive "
                                        "field grid")
-    with_config(sp)
+    with_config(sp, sweep_range=False)
     sp.add_argument("--brange", type=_range_type, default=None,
                     metavar="LO:HI", help="drive field range in tesla")
 
@@ -118,16 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="config key and comma-separated values (file "
                          "units); repeat once for a second parameter")
 
-    sp = sub.add_parser("validate", help="closed form vs direct-solve "
-                                         "cross-validation")
-    sp.add_argument("--config", required=True, help="config file path")
-    common(sp, out_required=False)
+    with_config(sub.add_parser("validate", help="closed form vs direct-solve "
+                                                "cross-validation"),
+                out_required=False)
 
     sp = sub.add_parser("preset", help="run a named figure preset")
     sp.add_argument("name", choices=sorted(presets.PRESETS),
                     metavar="NAME", help="preset name, e.g. fig3c")
     common(sp)
-    sp.add_argument("--prominence", type=float, default=0.1)
     sp.add_argument("--brange", type=_range_type, default=None,
                     metavar="LO:HI", help="drive field range in tesla "
                                           "(steady presets)")
@@ -305,6 +304,13 @@ def _curve_tag(preset: presets.Preset, p: SystemParams, value: float):
 
 def _cmd_preset(args, argv) -> int:
     preset = presets.get_preset(args.name)
+    # steady presets sweep the drive field, the others a detuning or coupling
+    unread, given = (("--range", args.sweep_range) if preset.kind == "steady"
+                     else ("--brange", args.brange))
+    if given is not None:
+        print(f"error: {preset.kind} preset {args.name} takes no {unread}",
+              file=sys.stderr)
+        return 2
     base = preset.resolve()
     notes = [f"run: preset {args.name} kind={preset.kind}",
              f"curves: {preset.curve_key} = "

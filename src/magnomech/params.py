@@ -9,6 +9,11 @@ conventional YIG number is entered as ``gyro_hz_per_tesla = 28e9`` and used
 internally as ``2*pi*28e9`` rad/s/T.  Published "GHz/T" values that omit
 the 2*pi are deliberately read this way; see README.
 
+The model works in the frame of the microwave drive (``omega_0``), so
+each mode is stored only as its detuning from that frame.  An absolute
+mode frequency is input only: it is converted to its detuning once, in
+hertz.
+
 The drive-enhanced magnon-phonon coupling has two possible sources,
 selected by ``coupling_mode``:
 
@@ -28,7 +33,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
-HBAR = 1.054571817e-34  # J s
 
 EFFECTIVE = "effective"
 MICROSCOPIC = "microscopic"
@@ -40,16 +44,6 @@ DEFAULT_SPHERE_DIAMETER = 250e-6        # m, typical YIG sphere
 _RATE_FIELDS = ("kappa_a", "kappa_p", "kappa_n1", "kappa_n2", "gamma_u")
 _COUPLING_FIELDS = ("g1", "g2", "f", "G_au", "g_np")
 
-# (mode frequency, matching detuning) pairs that must satisfy
-# delta = omega - omega_0 to 1e-9 relative.
-_PAIRS = (
-    ("omega_cav_1", "delta_1"),
-    ("omega_cav_2", "delta_2"),
-    ("omega_u", "delta_u"),
-    ("omega_n1", "delta_n1"),
-    ("omega_n2", "delta_n2"),
-)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -58,12 +52,7 @@ class SystemParams:
     Immutable after construction; safe to share across workers.
     """
 
-    # mode frequencies and the drive (rotating) frame
-    omega_cav_1: float
-    omega_cav_2: float
-    omega_u: float
-    omega_n1: float
-    omega_n2: float
+    # phonon frequency and the drive (rotating) frame
     omega_p: float
     omega_0: float
     # dissipation
@@ -91,13 +80,8 @@ class SystemParams:
     sphere_diameter: float = DEFAULT_SPHERE_DIAMETER
     spin_density: float = DEFAULT_SPIN_DENSITY
     gyromagnetic_ratio: float = TWO_PI * DEFAULT_GYRO_HZ_PER_TESLA
-    # probe drive
-    P_d: float = 0.0
-    omega_d: float | None = None
 
     def __post_init__(self):
-        if self.omega_d is None:
-            object.__setattr__(self, "omega_d", self.omega_0)
         for field_ in fields(self):
             value = getattr(self, field_.name)
             if isinstance(value, (int, float)) and not math.isfinite(value):
@@ -111,13 +95,12 @@ class SystemParams:
         for name in _COUPLING_FIELDS:
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"coupling {name} must be non-negative")
-        for name in ("omega_p", "omega_0", "omega_d", "sphere_diameter",
+        for name in ("omega_p", "omega_0", "sphere_diameter",
                      "spin_density", "gyromagnetic_ratio"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("P_d", "B_field"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
+        if self.B_field < 0.0:
+            raise ConfigError("B_field must be non-negative")
         if self.coupling_mode not in (EFFECTIVE, MICROSCOPIC):
             raise ConfigError(
                 f"coupling_mode must be '{EFFECTIVE}' or '{MICROSCOPIC}', "
@@ -126,28 +109,15 @@ class SystemParams:
             raise ConfigError("coupling_mode=effective requires G_np_direct")
         if self.coupling_mode == MICROSCOPIC and not self.g_np > 0.0:
             raise ConfigError("microscopic mode requires g_np_hz > 0")
-        for omega_name, delta_name in _PAIRS:
-            omega = getattr(self, omega_name)
-            delta = getattr(self, delta_name)
-            mismatch = (omega - self.omega_0) - delta
-            tol = 1e-9 * max(abs(omega), abs(self.omega_0), 1.0)
-            if abs(mismatch) > tol:
-                raise ConfigError(
-                    f"inconsistent detuning/frequency pair: {delta_name} = "
-                    f"{delta!r} but {omega_name} - omega_0 = {omega - self.omega_0!r}")
 
 
 # ---------------------------------------------------------------------------
 # config document handling
 # ---------------------------------------------------------------------------
 
-# config key -> SystemParams field, for keys that are nu-values in Hz
+# config key -> SystemParams field, for keys that are nu-values in Hz, in
+# the order the serializer writes them
 _HZ_KEYS = {
-    "omega_cav_1_hz": "omega_cav_1",
-    "omega_cav_2_hz": "omega_cav_2",
-    "omega_u_hz": "omega_u",
-    "omega_n1_hz": "omega_n1",
-    "omega_n2_hz": "omega_n2",
     "omega_p_hz": "omega_p",
     "omega_0_hz": "omega_0",
     "kappa_a_hz": "kappa_a",
@@ -165,8 +135,16 @@ _HZ_KEYS = {
     "delta_u_hz": "delta_u",
     "delta_n1_hz": "delta_n1",
     "delta_n2_hz": "delta_n2",
-    "omega_d_hz": "omega_d",
     "gyro_hz_per_tesla": "gyromagnetic_ratio",
+}
+
+# absolute mode frequency (input only) -> the detuning key it stands for
+_DELTA_OF_OMEGA = {
+    "omega_cav_1_hz": "delta_1_hz",
+    "omega_cav_2_hz": "delta_2_hz",
+    "omega_u_hz": "delta_u_hz",
+    "omega_n1_hz": "delta_n1_hz",
+    "omega_n2_hz": "delta_n2_hz",
 }
 
 # keys taken verbatim (SI units already)
@@ -174,13 +152,12 @@ _PLAIN_KEYS = {
     "B_tesla": "B_field",
     "sphere_diameter_m": "sphere_diameter",
     "spin_density_per_m3": "spin_density",
-    "P_d_watt": "P_d",
 }
 
 _COMPLEX_HZ_KEY = "G_np_hz"  # may carry a complex value, e.g. 3.5e6+1e5j
 
-KNOWN_KEYS = frozenset(_HZ_KEYS) | frozenset(_PLAIN_KEYS) | {
-    _COMPLEX_HZ_KEY, "coupling_mode"}
+KNOWN_KEYS = (frozenset(_HZ_KEYS) | frozenset(_PLAIN_KEYS)
+              | frozenset(_DELTA_OF_OMEGA) | {_COMPLEX_HZ_KEY, "coupling_mode"})
 
 MANDATORY_KEYS = (
     "omega_p_hz", "omega_0_hz",
@@ -188,13 +165,6 @@ MANDATORY_KEYS = (
     "g1_hz", "g2_hz", "f_hz", "G_au_hz",
     "coupling_mode",
 )
-
-_OMEGA_OF_DELTA = {d: o for o, d in
-                   (("omega_cav_1_hz", "delta_1_hz"),
-                    ("omega_cav_2_hz", "delta_2_hz"),
-                    ("omega_u_hz", "delta_u_hz"),
-                    ("omega_n1_hz", "delta_n1_hz"),
-                    ("omega_n2_hz", "delta_n2_hz"))}
 
 
 def _split_lines(text: str) -> dict[str, str]:
@@ -242,9 +212,10 @@ def parse_config(text: str) -> SystemParams:
     """Parse a flat ``key = value`` document into a validated SystemParams.
 
     Frequency-like keys are nu-values in Hz and are multiplied by 2*pi.
-    Unspecified detunings default to the resonant operating point
-    delta = omega_p; mode frequencies omitted alongside them are placed at
-    omega_0 + delta.
+    An absolute mode frequency becomes the detuning ``omega_hz -
+    omega_0_hz`` in Hz before that multiplication, so every detuning has
+    an exact Hz value and serializes without loss.  Unspecified detunings
+    default to the resonant operating point delta = omega_p.
     """
     raw = _split_lines(text)
 
@@ -273,21 +244,21 @@ def parse_config(text: str) -> SystemParams:
         fields["G_np_direct"] = TWO_PI * _complex_number(
             _COMPLEX_HZ_KEY, raw[_COMPLEX_HZ_KEY])
 
-    omega_0 = fields["omega_0"]
-    omega_p = fields["omega_p"]
-    for delta_key, omega_key in _OMEGA_OF_DELTA.items():
-        omega_field = _HZ_KEYS[omega_key]
+    omega_0_hz = _number("omega_0_hz", raw["omega_0_hz"])
+    for omega_key, delta_key in _DELTA_OF_OMEGA.items():
         delta_field = _HZ_KEYS[delta_key]
-        have_omega = omega_field in fields
-        have_delta = delta_field in fields
-        if have_omega and not have_delta:
-            fields[delta_field] = fields[omega_field] - omega_0
-        elif have_delta and not have_omega:
-            fields[omega_field] = omega_0 + fields[delta_field]
-        elif not have_omega and not have_delta:
-            fields[delta_field] = omega_p
-            fields[omega_field] = omega_0 + omega_p
-        # both present: SystemParams enforces consistency
+        if omega_key in raw:
+            omega_hz = _number(omega_key, raw[omega_key])
+            delta_hz = omega_hz - omega_0_hz
+            tol = 1e-9 * max(abs(omega_hz), abs(omega_0_hz), 1.0)
+            if delta_key not in raw:
+                fields[delta_field] = TWO_PI * delta_hz
+            elif abs(delta_hz - _number(delta_key, raw[delta_key])) > tol:
+                raise ConfigError(
+                    f"inconsistent detuning/frequency pair: {delta_key} = "
+                    f"{raw[delta_key]} but {omega_key} - omega_0_hz = "
+                    f"{delta_hz!r}")
+        fields.setdefault(delta_field, fields["omega_p"])
 
     return SystemParams(**fields)
 
@@ -319,25 +290,11 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-# serialized form: detunings only, never the derived mode frequencies.
-# Reparsing rebuilds each frequency as omega_0 + delta, which reproduces the
-# original bit-exactly whenever the frequency sits within a factor two of
-# the drive frame (every physical configuration).
-_SERIAL_HZ_KEYS = (
-    "omega_p_hz", "omega_0_hz",
-    "kappa_a_hz", "kappa_p_hz", "kappa_n1_hz", "kappa_n2_hz", "gamma_u_hz",
-    "g1_hz", "g2_hz", "f_hz", "G_au_hz", "g_np_hz",
-    "delta_1_hz", "delta_2_hz", "delta_u_hz", "delta_n1_hz", "delta_n2_hz",
-    "omega_d_hz", "gyro_hz_per_tesla",
-)
-
-
 def serialize_config(p: SystemParams) -> str:
     """Render params back into the config format; parse(serialize(p)) == p."""
     lines = [f"coupling_mode = {p.coupling_mode}"]
-    for key in _SERIAL_HZ_KEYS:
-        value = getattr(p, _HZ_KEYS[key])
-        lines.append(f"{key} = {_fmt(_preimage_hz(value))}")
+    for key, field in _HZ_KEYS.items():
+        lines.append(f"{key} = {_fmt(_preimage_hz(getattr(p, field)))}")
     if p.G_np_direct is not None:
         g = complex(p.G_np_direct)
         re = _preimage_hz(g.real)
@@ -355,21 +312,16 @@ def serialize_config(p: SystemParams) -> str:
 # overrides (sweeps, presets, CLI)
 # ---------------------------------------------------------------------------
 
-# config keys that may be replaced after parsing without re-deriving
-# anything else
-_SIMPLE_OVERRIDES = {
-    "kappa_a_hz", "kappa_p_hz", "kappa_n1_hz", "kappa_n2_hz", "gamma_u_hz",
-    "g1_hz", "g2_hz", "f_hz", "G_au_hz", "g_np_hz", "omega_d_hz",
-    "gyro_hz_per_tesla",
-}
+# Hz keys that may be replaced after parsing; the phonon frequency and the
+# drive frame set the units of every sweep and stay fixed
+_SIMPLE_OVERRIDES = frozenset(_HZ_KEYS) - {"omega_p_hz", "omega_0_hz"}
 
 
 def apply_override(p: SystemParams, key: str, value) -> SystemParams:
     """Return params with one config-keyed quantity replaced (file units).
 
-    Detuning overrides move the matching mode frequency along with them so
-    the delta = omega - omega_0 invariant keeps holding.  Mode frequencies,
-    omega_p and omega_0 are not overridable: change the config instead.
+    omega_p, omega_0 and the absolute mode frequencies are not
+    overridable: change the config instead.
     """
     if key == "coupling_mode":
         return replace(p, coupling_mode=str(value))
@@ -379,26 +331,12 @@ def apply_override(p: SystemParams, key: str, value) -> SystemParams:
         return replace(p, **{_HZ_KEYS[key]: TWO_PI * float(value)})
     if key in _PLAIN_KEYS:
         return replace(p, **{_PLAIN_KEYS[key]: float(value)})
-    if key in _OMEGA_OF_DELTA:
-        delta = TWO_PI * float(value)
-        omega_key = _OMEGA_OF_DELTA[key]
-        return replace(p, **{_HZ_KEYS[key]: delta,
-                             _HZ_KEYS[omega_key]: p.omega_0 + delta})
     raise ConfigError(f"key {key!r} is not overridable")
 
 
 # ---------------------------------------------------------------------------
-# drive amplitudes
+# magnon drive
 # ---------------------------------------------------------------------------
-
-def drive_amplitude(P_d: float, omega_d: float, kappa_a: float) -> float:
-    """Probe amplitude sqrt(2 kappa_a P_d / (hbar omega_d))."""
-    if P_d < 0.0:
-        raise ConfigError("P_d must be non-negative")
-    if omega_d <= 0.0:
-        raise ConfigError("omega_d must be positive")
-    return math.sqrt(2.0 * kappa_a * P_d / (HBAR * omega_d))
-
 
 def rabi_frequency(B: float, sphere_diameter: float, spin_density: float,
                    gyro: float) -> float:

@@ -112,7 +112,8 @@ def _populations(p: SystemParams, A: complex, B: complex,
 
 
 def equations_residual(p: SystemParams, s: SteadyState, Omega: float) -> float:
-    """Max relative residual of the six steady-state equations."""
+    """Max relative residual of the six steady-state equations; inf when
+    any of them is not finite."""
     c1 = (p.kappa_a + 1j * p.delta_1) * s.a1s
     t1 = (1j * p.g1 * s.n1s, 1j * p.g2 * s.n2s, 1j * p.f * s.a2s)
     c2 = (p.kappa_a + 1j * p.delta_2) * s.a2s
@@ -130,7 +131,10 @@ def equations_residual(p: SystemParams, s: SteadyState, Omega: float) -> float:
     for lhs, terms in ((c1, t1), (c2, t2), (c3, t3), (c4, t4), (c5, t5), (c6, t6)):
         total = lhs + sum(terms)
         scale = max(abs(lhs), *(abs(t) for t in terms), 1e-300)
-        worst = max(worst, abs(total) / scale)
+        ratio = abs(total) / scale
+        if not math.isfinite(ratio):
+            return math.inf
+        worst = max(worst, ratio)
     return worst
 
 
@@ -152,9 +156,7 @@ def _back_substitute(p: SystemParams, A: complex, B: complex, Omega: float,
                         delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
                         G_np_eff=1j * _SQRT2 * p.g_np * n2s,
                         magnon_number=m, roots=roots, residual=0.0)
-    # an overflowing population makes every equation NaN, which max() skips
-    residual = (equations_residual(p, state, Omega) if math.isfinite(m)
-                else math.inf)
+    residual = equations_residual(p, state, Omega)
     if residual > 1e-8:
         raise ConvergenceError(
             f"steady-state back-substitution residual {residual:.3e} "

@@ -13,7 +13,8 @@ from magnomech.response import transmission
 
 
 def steady_equation_residual(p, state, Omega):
-    """Max relative residual of the six steady-state balance equations."""
+    """Max relative residual of the six steady-state balance equations;
+    inf when any of them is not finite."""
     n2_abs2 = abs(state.n2s) ** 2
     equations = [
         ((p.kappa_a + 1j * p.delta_1) * state.a1s,
@@ -33,6 +34,8 @@ def steady_equation_residual(p, state, Omega):
     for lhs, terms in equations:
         mismatch = abs(lhs + sum(terms))
         scale = max([abs(lhs)] + [abs(t) for t in terms] + [1e-300])
+        if not np.isfinite(mismatch / scale):
+            return np.inf
         worst = max(worst, mismatch / scale)
     return worst
 

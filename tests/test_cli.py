@@ -63,6 +63,25 @@ def test_non_positive_grid_is_usage_error(subcommand, grid, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["preset", "fig3a", "--mode", "microscopic"],
+    ["preset", "fig3c", "--prominence", "0.2"],
+    ["preset", "fig3a", "--brange", "0:1e-5"],
+    ["preset", "fig8a", "--brange", "0:1e-5"],
+    ["preset", "fig2a", "--range", "0:1"],
+    ["steady", "--config", "{micro}", "--range", "0:1"],
+], ids=["preset-mode", "preset-prominence", "spectrum-preset-brange",
+        "delay-preset-brange", "steady-preset-range", "steady-range"])
+def test_unread_option_is_usage_error(args, tmp_path, capsys):
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(MICROSCOPIC_CONFIG)
+    out = tmp_path / "x.csv"
+    args = [a.replace("{micro}", str(cfg)) for a in args]
+    assert run(args + ["--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_returns_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(BASELINE_CONFIG.replace("kappa_a_hz = 2.1e6",
@@ -255,7 +274,11 @@ _DELAY_CONFIG = (BASELINE_CONFIG.replace("g1_hz = 1.5e6", "g1_hz = 0")
     (BASELINE_CONFIG, ["windows", "--grid", "501"]),
     (BASELINE_CONFIG, ["sweep", "--set", "f_hz=0,1.5e6", "--grid", "21"]),
     (BASELINE_CONFIG, ["validate", "--grid", "51"]),
-], ids=["mode", "steady", "delay", "windows", "sweep", "validate"])
+    # an absolute frequency whose detuning had no exact Hz value
+    (BASELINE_CONFIG + "omega_n2_hz = 9916974000\n",
+     ["spectrum", "--grid", "2001"]),
+], ids=["mode", "steady", "delay", "windows", "sweep", "validate",
+        "frequency"])
 def test_every_manifest_reruns(tmp_path, config, args):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

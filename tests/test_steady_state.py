@@ -7,7 +7,8 @@ import pytest
 from magnomech.errors import ConfigError, ConvergenceError
 from magnomech.params import apply_override, rabi_frequency
 from magnomech.presets import get_preset
-from magnomech.steady_state import magnon_number_sweep, solve_steady_state
+from magnomech.steady_state import (equations_residual, magnon_number_sweep,
+                                    solve_steady_state)
 
 from conftest import with_overrides
 from oracles import (magnon_population_direct, magnon_population_root,
@@ -167,6 +168,15 @@ def test_non_convergence_reports_residual(micro):
         solve_steady_state(p)
     with pytest.raises(ConvergenceError, match=r"B = 1\.0 T: .*residual"):
         magnon_number_sweep(p, [0.0, 1.0])
+
+
+def test_nan_state_has_infinite_residual(micro):
+    # a NaN amplitude must not vanish from the worst-equation fold
+    state = replace(solve_steady_state(micro), n2s=complex("nan+nanj"))
+    omega = rabi_frequency(micro.B_field, micro.sphere_diameter,
+                           micro.spin_density, micro.gyromagnetic_ratio)
+    assert equations_residual(micro, state, omega) == math.inf
+    assert steady_equation_residual(micro, state, omega) == math.inf
 
 
 def test_negative_drive_rejected(micro):
