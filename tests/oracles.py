@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from magnomech.oracle import (ORDERING, build_fluctuation_matrix,
                               solve_fluctuations)
-from magnomech.response import transmission
+from magnomech.response import evaluate_spectrum
 
 
 def steady_equation_residual(p, state, Omega):
@@ -140,11 +140,14 @@ def finite_difference_group_delay(p, state, delta, step=1e-7):
     extrapolated as (4 D(h/2) - D(h)) / 3, which cancels the O(h^2) error.
     """
     d = np.asarray(delta, dtype=float)
-    t0 = transmission(p, state, d)
+
+    def transmission(x):
+        return evaluate_spectrum(p, state, x).t
+
+    t0 = transmission(d)
 
     def quotient(h):
-        return (transmission(p, state, d + h)
-                - transmission(p, state, d - h)) / (2.0 * h)
+        return (transmission(d + h) - transmission(d - h)) / (2.0 * h)
 
     h = step * p.omega_p
     slope = (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0

@@ -215,13 +215,13 @@ def test_sweep_spectrum_parameter_count(baseline):
 def _preset_absorption(name, curve_value, n=2001, lo=0.0, hi=2.0):
     from magnomech.params import apply_override
     from magnomech.presets import get_preset
-    from magnomech.response import output_field
+    from magnomech.response import evaluate_spectrum
 
     preset = get_preset(name)
     p = apply_override(preset.resolve(), preset.curve_key, curve_value)
     state = solve_steady_state(p)
     grid = np.linspace(lo * p.omega_p, hi * p.omega_p, n)
-    return p, grid, np.real(output_field(p, state, grid))
+    return p, grid, evaluate_spectrum(p, state, grid).eout.real
 
 
 def test_single_window_sits_at_the_phonon_frequency():
@@ -268,7 +268,7 @@ def test_drive_field_widens_phonon_windows():
 def test_window_census_stable_under_grid_refinement():
     from magnomech.params import apply_override
     from magnomech.presets import get_preset
-    from magnomech.response import output_field
+    from magnomech.response import evaluate_spectrum
 
     for name in ("fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c",
                  "fig5a", "fig5b", "fig5c", "fig6a", "fig6b",
@@ -281,6 +281,6 @@ def test_window_census_stable_under_grid_refinement():
             counts = []
             for n in (501, 2001):
                 grid = np.linspace(0.0, 2.0 * p.omega_p, n)
-                absorption = np.real(output_field(p, state, grid))
+                absorption = evaluate_spectrum(p, state, grid).eout.real
                 counts.append(find_windows(grid, absorption).count)
             assert counts[0] == counts[1], (name, value, counts)

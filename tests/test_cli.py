@@ -70,8 +70,10 @@ def test_non_positive_grid_is_usage_error(subcommand, grid, tmp_path, capsys):
     ["preset", "fig8a", "--brange", "0:1e-5"],
     ["preset", "fig2a", "--range", "0:1"],
     ["steady", "--config", "{micro}", "--range", "0:1"],
+    ["steady", "--config", "{micro}", "--grid", "51"],
 ], ids=["preset-mode", "preset-prominence", "spectrum-preset-brange",
-        "delay-preset-brange", "steady-preset-range", "steady-range"])
+        "delay-preset-brange", "steady-preset-range", "steady-range",
+        "steady-grid-without-brange"])
 def test_unread_option_is_usage_error(args, tmp_path, capsys):
     cfg = tmp_path / "micro.cfg"
     cfg.write_text(MICROSCOPIC_CONFIG)
@@ -79,6 +81,16 @@ def test_unread_option_is_usage_error(args, tmp_path, capsys):
     args = [a.replace("{micro}", str(cfg)) for a in args]
     assert run(args + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prominence", ["0", "1.5", "nan", "x"])
+def test_prominence_outside_unit_interval_is_usage_error(
+        prominence, config_path, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["windows", "--config", config_path, "--out", str(out),
+                "--prominence", prominence]) == 2
+    assert "prominence in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -98,8 +110,11 @@ def test_unknown_preset_is_usage_error(tmp_path, capsys):
 
 
 def test_bad_range_is_usage_error(config_path, tmp_path):
-    assert run(["spectrum", "--config", config_path,
-                "--out", str(tmp_path / "x.csv"), "--range", "2:1"]) == 2
+    out = tmp_path / "x.csv"
+    for bounds in ("2:1", "nan:1", "0:nan", "-inf:1"):
+        assert run(["spectrum", "--config", config_path,
+                    "--out", str(out), "--range", bounds]) == 2, bounds
+        assert not out.exists()
 
 
 def test_preset_fig3c_census(tmp_path):

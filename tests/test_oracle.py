@@ -6,7 +6,7 @@ import magnomech.oracle as oracle_module
 from magnomech.oracle import (CHUNK, ORDERING, FluctuationSystem,
                               build_fluctuation_matrix, cross_validate,
                               solve_fluctuations)
-from magnomech.response import probe_response
+from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import solve_steady_state
 
 from conftest import delta_grid, with_overrides
@@ -161,7 +161,7 @@ def test_cross_validate_chunks_match_per_point_reference(fig3c_template):
     state = solve_steady_state(p)
     grid = delta_grid(p, 2 * CHUNK + 3)
     report = cross_validate(p, state, grid)
-    closed = probe_response(p, state, grid)
+    closed = evaluate_spectrum(p, state, grid).a1m
     expected = []
     for d, cf in zip(grid, closed):
         a1m = solve_fluctuations(build_fluctuation_matrix(p, state, d)).a1m

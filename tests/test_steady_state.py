@@ -33,7 +33,7 @@ def test_effective_mode_embedding(baseline):
 
 
 def test_undriven_system_is_empty(micro):
-    state = solve_steady_state(micro, Omega=0.0)
+    state = solve_steady_state(with_overrides(micro, B_tesla=0.0))
     assert state.magnon_number == 0.0
     assert state.n2s == 0j and state.a1s == 0j and state.ps == 0j
     assert state.delta_n2_eff == micro.delta_n2
@@ -44,8 +44,9 @@ def test_single_decoupled_driven_mode(micro):
     # with every coupling off the driven magnon is a bare damped mode
     p = replace(with_overrides(micro, g1_hz=0.0, g2_hz=0.0, f_hz=0.0,
                                G_au_hz=0.0), g_np=1e-30)
-    omega = 1e9
-    state = solve_steady_state(p, Omega=omega)
+    omega = rabi_frequency(p.B_field, p.sphere_diameter, p.spin_density,
+                           p.gyromagnetic_ratio)
+    state = solve_steady_state(p)
     expected = omega / (p.kappa_n2 + 1j * p.delta_n2)
     assert state.n2s == pytest.approx(expected, rel=1e-12)
     assert state.delta_n2_eff == p.delta_n2
@@ -180,8 +181,8 @@ def test_nan_state_has_infinite_residual(micro):
 
 
 def test_negative_drive_rejected(micro):
-    with pytest.raises(ConfigError, match="Omega"):
-        solve_steady_state(micro, Omega=-1.0)
+    with pytest.raises(ConfigError, match="B_field must be non-negative"):
+        with_overrides(micro, B_tesla=-1e-6)
 
 
 # --- the cubic's roots -------------------------------------------------------
