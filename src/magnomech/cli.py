@@ -190,11 +190,9 @@ def _cmd_spectrum(args, argv) -> int:
     return 0
 
 
-def _steady_rows(sweep: steady_state.SweepResult):
-    for pt in sweep.points:
-        s = pt.state
-        yield (pt.B, s.magnon_number, s.n2s.real, s.n2s.imag,
-               s.delta_n2_eff, s.roots)
+def _steady_rows(b_grid: np.ndarray, s: steady_state.SteadyState):
+    return zip(b_grid.tolist(), s.magnon_number.tolist(), s.n2s.real.tolist(),
+               s.n2s.imag.tolist(), s.delta_n2_eff.tolist(), s.roots.tolist())
 
 
 def _cmd_steady(args, argv) -> int:
@@ -207,13 +205,15 @@ def _cmd_steady(args, argv) -> int:
         grid = np.linspace(lo, hi, args.grid if args.grid else 51)
     else:
         grid = np.array([p.B_field])
-    sweep = steady_state.magnon_number_sweep(p, grid)
-    bistable = sum(pt.state.roots == 3 for pt in sweep.points)
+    state = steady_state.magnon_number_sweep(p, grid)
+    m = state.magnon_number
+    increasing = m.size > 1 and bool(np.all(np.diff(m) > 0.0))
     notes = [f"run: steady points={grid.size} "
              f"brange={grid[0]:g}:{grid[-1]:g}",
-             f"monotone: strictly_increasing={sweep.strictly_increasing} "
-             f"bistable_points={bistable}"]
-    csvio.write_csv(args.out, STEADY_HEADER, _steady_rows(sweep))
+             f"monotone: strictly_increasing={increasing} "
+             f"bistable_points={np.count_nonzero(state.roots == 3)}",
+             f"steady: max_residual={csvio.fmt(np.max(state.residual))}"]
+    csvio.write_csv(args.out, STEADY_HEADER, _steady_rows(grid, state))
     _write_manifest(args.out, argv, p, notes)
     return 0
 
@@ -354,13 +354,16 @@ def _cmd_preset(args, argv) -> int:
         b_grid = np.linspace(lo, hi, n)
         tag_name = _curve_tag(preset, base, 0.0)[0]
         rows = []
+        worst = 0.0
         for value in preset.curve_values:
             p = apply_override(base, preset.curve_key, value)
-            sweep = steady_state.magnon_number_sweep(p, b_grid)
+            state = steady_state.magnon_number_sweep(p, b_grid)
+            worst = max(worst, np.max(state.residual))
             tag = _curve_tag(preset, p, value)[1]
-            rows.extend((tag,) + row for row in _steady_rows(sweep))
+            rows.extend((tag,) + row for row in _steady_rows(b_grid, state))
         csvio.write_csv(args.out, [tag_name] + STEADY_HEADER, rows)
-        notes.append(f"b_points={n} brange={lo:g}:{hi:g}")
+        notes += [f"b_points={n} brange={lo:g}:{hi:g}",
+                  f"steady: max_residual={csvio.fmt(worst)}"]
 
     else:  # delay
         lo, hi = args.sweep_range if args.sweep_range else (preset.sweep_lo,
@@ -406,12 +409,25 @@ _DISPATCH = {
 }
 
 
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """``--range -1:1`` as ``--range=-1:1``: argparse takes a value that
+    starts with '-' for an option unless it is a plain negative number, and
+    no option name contains ':'."""
+    attached: list[str] = []
+    for arg in argv:
+        if (attached[-1:] in (["--range"], ["--brange"])
+                and arg.startswith("-") and ":" in arg):
+            arg = attached.pop() + "=" + arg
+        attached.append(arg)
+    return attached
+
+
 def run(argv) -> int:
     """Entry point with argv (no program name); returns the exit code."""
     argv = list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

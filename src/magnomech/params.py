@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -338,9 +340,10 @@ def apply_override(p: SystemParams, key: str, value) -> SystemParams:
 # magnon drive
 # ---------------------------------------------------------------------------
 
-def rabi_frequency(B: float, sphere_diameter: float, spin_density: float,
-                   gyro: float) -> float:
-    """Collective Rabi rate of the magnon drive, (sqrt(5)/4) gyro sqrt(N) B.
+def rabi_frequency(B, sphere_diameter: float, spin_density: float,
+                   gyro: float):
+    """Collective Rabi rate of the magnon drive, (sqrt(5)/4) gyro sqrt(N) B,
+    for a scalar field or elementwise over an array of fields.
 
     N = spin_density * (pi/6) * diameter^3 is the number of spins in the
     sphere; the result is linear in B and in sqrt(spin_density).
@@ -349,7 +352,7 @@ def rabi_frequency(B: float, sphere_diameter: float, spin_density: float,
         raise ConfigError("sphere_diameter must be positive")
     if spin_density <= 0.0 or gyro <= 0.0:
         raise ConfigError("spin_density and gyromagnetic ratio must be positive")
-    if B < 0.0:
+    if np.less(B, 0.0).any():
         raise ConfigError("B must be non-negative")
     volume = (math.pi / 6.0) * sphere_diameter ** 3
     n_spins = spin_density * volume

@@ -17,7 +17,8 @@ has three positive roots the point is bistable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,31 +30,20 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Steady amplitudes of all six modes plus derived response inputs."""
+    """Steady amplitudes of all six modes plus derived response inputs:
+    scalars at one drive field, parallel 1-D arrays over a drive grid."""
 
-    a1s: complex
-    a2s: complex
-    n1s: complex
-    n2s: complex
-    us: complex
-    ps: complex
-    delta_n2_eff: float      # magnomechanically shifted magnon detuning
-    G_np_eff: complex        # i*sqrt(2)*g_np*n2s (or the direct input)
-    magnon_number: float     # |n2s|^2
-    roots: int               # positive roots of the cubic: 1, 3 if bistable
-    residual: float          # max relative residual of the steady equations
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    B: float
-    state: SteadyState
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: list[SweepPoint]
-    strictly_increasing: bool
+    a1s: np.ndarray
+    a2s: np.ndarray
+    n1s: np.ndarray
+    n2s: np.ndarray
+    us: np.ndarray
+    ps: np.ndarray
+    delta_n2_eff: np.ndarray  # magnomechanically shifted magnon detuning
+    G_np_eff: np.ndarray      # i*sqrt(2)*g_np*n2s (or the direct input)
+    magnon_number: np.ndarray  # |n2s|^2
+    roots: np.ndarray         # positive roots of the cubic: 1, 3 if bistable
+    residual: np.ndarray      # max relative residual of the steady equations
 
 
 def _chain_coefficients(p: SystemParams) -> tuple[complex, complex]:
@@ -91,57 +81,52 @@ def _populations(p: SystemParams, A: complex, B: complex,
     u = 1j * B * _phonon_shift(p, 1.0) / D0 * m_lin
     ur, ui = u.real, u.imag
     e2, e3 = 2.0 * ur, ur * ur + ui * ui
-    # each branch is evaluated everywhere and selected below; a population
-    # that overflows is left to the residual check of the back-substitution
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the discriminant, written in u so that it does not cancel at small u
-        disc = (-4.0 * ui * ui - 4.0 * ur ** 3 - 36.0 * ur * ui * ui
-                - 27.0 * e3 * e3)
-        # depressed cubic t^3 + P t + Q = 0 with y = t + 1/3
-        P = -e2 - 1.0 / 3.0
-        Q = -2.0 / 27.0 - e2 / 3.0 - e3
-        r = np.sqrt(-P / 3.0)
-        z = np.minimum(np.maximum(-Q / (2.0 * r ** 3), -1.0), 1.0)
-        three = 2.0 * r * np.cos(np.arccos(z) / 3.0)
-        w = np.cbrt(-Q / 2.0 - np.copysign(np.sqrt(-disc / 108.0), Q))
-        one = w - P / (3.0 * w)
-        y = np.where(disc > 0.0, three, one) + 1.0 / 3.0
-        # one Newton step on the cubic polishes the closed form
-        y = y - (((y - 1.0) * y - e2) * y - e3) / ((3.0 * y - 2.0) * y - e2)
+    # the discriminant, written in u so that it does not cancel at small u
+    disc = (-4.0 * ui * ui - 4.0 * ur ** 3 - 36.0 * ur * ui * ui
+            - 27.0 * e3 * e3)
+    # depressed cubic t^3 + P t + Q = 0 with y = t + 1/3
+    P = -e2 - 1.0 / 3.0
+    Q = -2.0 / 27.0 - e2 / 3.0 - e3
+    # each branch is evaluated everywhere, its warnings silenced by the
+    # caller, and selected below
+    r = np.sqrt(-P / 3.0)
+    z = np.minimum(np.maximum(-Q / (2.0 * r ** 3), -1.0), 1.0)
+    three = 2.0 * r * np.cos(np.arccos(z) / 3.0)
+    w = np.cbrt(-Q / 2.0 - np.copysign(np.sqrt(-disc / 108.0), Q))
+    one = w - P / (3.0 * w)
+    y = np.where(disc > 0.0, three, one) + 1.0 / 3.0
+    # one Newton step on the cubic polishes the closed form
+    y = y - (((y - 1.0) * y - e2) * y - e3) / ((3.0 * y - 2.0) * y - e2)
     return m_lin / y, 1 + 2 * (disc > 0.0)
 
 
-def equations_residual(p: SystemParams, s: SteadyState, Omega: float) -> float:
-    """Max relative residual of the six steady-state equations; inf when
-    any of them is not finite."""
-    c1 = (p.kappa_a + 1j * p.delta_1) * s.a1s
-    t1 = (1j * p.g1 * s.n1s, 1j * p.g2 * s.n2s, 1j * p.f * s.a2s)
-    c2 = (p.kappa_a + 1j * p.delta_2) * s.a2s
-    t2 = (1j * p.f * s.a1s, 1j * p.G_au * s.us)
-    c3 = (p.kappa_p + 1j * p.omega_p) * s.ps
-    t3 = (1j * p.g_np * abs(s.n2s) ** 2,)
-    c4 = (p.gamma_u + 1j * p.delta_u) * s.us
-    t4 = (1j * p.G_au * s.a2s,)
-    c5 = (p.kappa_n1 + 1j * p.delta_n1) * s.n1s
-    t5 = (1j * p.g1 * s.a1s,)
-    c6 = (p.kappa_n2 + 1j * s.delta_n2_eff) * s.n2s
-    t6 = (1j * p.g2 * s.a1s, -Omega)
-
-    worst = 0.0
-    for lhs, terms in ((c1, t1), (c2, t2), (c3, t3), (c4, t4), (c5, t5), (c6, t6)):
-        total = lhs + sum(terms)
-        scale = max(abs(lhs), *(abs(t) for t in terms), 1e-300)
-        ratio = abs(total) / scale
-        if not math.isfinite(ratio):
-            return math.inf
-        worst = max(worst, ratio)
-    return worst
+def equations_residual(p: SystemParams, s: SteadyState, Omega) -> np.ndarray:
+    """Max relative residual of the six steady-state equations, per drive;
+    inf where any of them is not finite.  ``s`` needs only the amplitudes
+    and ``delta_n2_eff`` of a ``SteadyState``."""
+    equations = (
+        ((p.kappa_a + 1j * p.delta_1) * s.a1s,
+         1j * p.g1 * s.n1s, 1j * p.g2 * s.n2s, 1j * p.f * s.a2s),
+        ((p.kappa_a + 1j * p.delta_2) * s.a2s,
+         1j * p.f * s.a1s, 1j * p.G_au * s.us),
+        ((p.kappa_p + 1j * p.omega_p) * s.ps, 1j * p.g_np * abs(s.n2s) ** 2),
+        ((p.gamma_u + 1j * p.delta_u) * s.us, 1j * p.G_au * s.a2s),
+        ((p.kappa_n1 + 1j * p.delta_n1) * s.n1s, 1j * p.g1 * s.a1s),
+        ((p.kappa_n2 + 1j * s.delta_n2_eff) * s.n2s,
+         1j * p.g2 * s.a1s, -Omega),
+    )
+    # one row per equation: |sum|, then |lhs| and every |term|, padded with
+    # |lhs| so that the rows stack and each scale is one max
+    rows = [[abs(lhs + sum(terms)), abs(lhs), *map(abs, terms)]
+            for lhs, *terms in equations]
+    a = np.array([row + row[1:2] * (5 - len(row)) for row in rows])
+    worst = (a[:, 0] / np.maximum(a[:, 1:].max(axis=1), 1e-300)).max(axis=0)
+    return np.fmin(worst, np.inf)  # fmin drops NaN: a non-finite one is inf
 
 
-def _back_substitute(p: SystemParams, A: complex, B: complex, Omega: float,
-                     m: float, roots: int) -> SteadyState:
-    """Every amplitude from the population ``m``, checked against the
-    steady equations."""
+def _back_substitute(p: SystemParams, A: complex, B: complex, Omega,
+                     m, roots) -> SteadyState:
+    """Every amplitude from the population ``m``, and its steady residual."""
     cn1 = p.kappa_n1 + 1j * p.delta_n1
     delta_eff = p.delta_n2 + _phonon_shift(p, m)
     n2s = B * Omega / (B * (p.kappa_n2 + 1j * delta_eff) + A * p.g2 ** 2 * cn1)
@@ -152,25 +137,32 @@ def _back_substitute(p: SystemParams, A: complex, B: complex, Omega: float,
     a2s = -1j * p.f * (p.gamma_u + 1j * p.delta_u) * a1s / A
     us = -1j * p.G_au * a2s / (p.gamma_u + 1j * p.delta_u)
 
-    state = SteadyState(a1s=a1s, a2s=a2s, n1s=n1s, n2s=n2s, us=us, ps=ps,
-                        delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
-                        G_np_eff=1j * _SQRT2 * p.g_np * n2s,
-                        magnon_number=m, roots=roots, residual=0.0)
-    residual = equations_residual(p, state, Omega)
-    if residual > 1e-8:
+    fields = dict(a1s=a1s, a2s=a2s, n1s=n1s, n2s=n2s, us=us, ps=ps,
+                  delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
+                  G_np_eff=1j * _SQRT2 * p.g_np * n2s,
+                  magnon_number=m, roots=roots)
+    residual = equations_residual(p, SimpleNamespace(**fields), Omega)
+    return SteadyState(**fields, residual=residual)
+
+
+def _solve(p: SystemParams, B_field) -> SteadyState:
+    """The steady state at a numpy scalar drive field or over a 1-D grid,
+    with every point's residual held to the sanity bound."""
+    Omega = rabi_frequency(B_field, p.sphere_diameter, p.spin_density,
+                           p.gyromagnetic_ratio)
+    A, B = _chain_coefficients(p)
+    # an overflowing population or amplitude is caught by the residual check
+    with np.errstate(all="ignore"):
+        m, roots = _populations(p, A, B, Omega)
+        state = _back_substitute(p, A, B, Omega, m, roots)
+    failing = np.ravel(state.residual > 1e-8)
+    if failing.any():
+        k = failing.argmax()
         raise ConvergenceError(
-            f"steady-state back-substitution residual {residual:.3e} "
+            f"B = {float(np.ravel(B_field)[k])!r} T: steady-state "
+            f"back-substitution residual {np.ravel(state.residual)[k]:.3e} "
             "exceeds sanity bound")
-    return replace(state, residual=residual)
-
-
-def _effective_embedding(p: SystemParams) -> SteadyState:
-    # No drive is specified in effective mode; the amplitudes are not
-    # meaningful, no cubic is solved (roots = 0) and only G_np_eff /
-    # delta_n2_eff feed the response.
-    return SteadyState(a1s=0j, a2s=0j, n1s=0j, n2s=0j, us=0j, ps=0j,
-                       delta_n2_eff=p.delta_n2, G_np_eff=p.G_np_direct,
-                       magnon_number=0.0, roots=0, residual=0.0)
+    return state
 
 
 def solve_steady_state(p: SystemParams) -> SteadyState:
@@ -178,21 +170,23 @@ def solve_steady_state(p: SystemParams) -> SteadyState:
 
     The drive is the Rabi rate of the configured drive field.  The
     population is the lowest positive root of the steady cubic; ``roots``
-    tells whether the point is bistable.  In effective mode there is
-    nothing to solve and the direct coupling is embedded as-is.
+    tells whether the point is bistable.  The fields are scalars.  In
+    effective mode there is nothing to solve and the direct coupling is
+    embedded as-is.
     """
     if p.coupling_mode == EFFECTIVE:
-        return _effective_embedding(p)
+        # no drive is specified: the amplitudes are not meaningful, no
+        # cubic is solved (roots = 0) and only G_np_eff / delta_n2_eff feed
+        # the response
+        return SteadyState(a1s=0j, a2s=0j, n1s=0j, n2s=0j, us=0j, ps=0j,
+                           delta_n2_eff=p.delta_n2, G_np_eff=p.G_np_direct,
+                           magnon_number=0.0, roots=0, residual=0.0)
+    return _solve(p, np.float64(p.B_field))
 
-    Omega = rabi_frequency(p.B_field, p.sphere_diameter, p.spin_density,
-                           p.gyromagnetic_ratio)
-    A, B = _chain_coefficients(p)
-    m, roots = _populations(p, A, B, np.float64(Omega))
-    return _back_substitute(p, A, B, Omega, float(m), int(roots))
 
-
-def magnon_number_sweep(p: SystemParams, B_grid) -> SweepResult:
-    """The steady state at every field value, from one batched solve.
+def magnon_number_sweep(p: SystemParams, B_grid) -> SteadyState:
+    """The steady state at every field value of an ascending 1-D grid, from
+    one batched solve; the fields are parallel arrays over the grid.
 
     Each point reports the lowest positive population, so an ascending
     sweep jumps where its branch ends, on the first point past a bistable
@@ -200,24 +194,9 @@ def magnon_number_sweep(p: SystemParams, B_grid) -> SweepResult:
     """
     if p.coupling_mode != MICROSCOPIC:
         raise ConfigError("magnon_number_sweep requires microscopic mode")
-    B_grid = [float(b) for b in B_grid]
-    if any(b2 <= b1 for b1, b2 in zip(B_grid, B_grid[1:])):
+    b = np.asarray(B_grid, dtype=float)
+    if b.ndim != 1 or b.size == 0:
+        raise ConfigError("B_grid must be a non-empty 1-D grid")
+    if np.any(b[1:] <= b[:-1]):
         raise ConfigError("B_grid must be sorted strictly ascending")
-
-    Omega = [rabi_frequency(b, p.sphere_diameter, p.spin_density,
-                            p.gyromagnetic_ratio) for b in B_grid]
-    A, B = _chain_coefficients(p)
-    populations, roots = _populations(p, A, B, np.array(Omega, dtype=float))
-    points: list[SweepPoint] = []
-    for b, omega, m, r in zip(B_grid, Omega, populations.tolist(),
-                              roots.tolist()):
-        try:
-            state = _back_substitute(p, A, B, omega, m, r)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"B = {b!r} T: {exc}") from exc
-        points.append(SweepPoint(B=b, state=state))
-
-    numbers = [pt.state.magnon_number for pt in points]
-    diffs = [b - a for a, b in zip(numbers, numbers[1:])]
-    strictly_increasing = bool(diffs) and all(d > 0.0 for d in diffs)
-    return SweepResult(points=points, strictly_increasing=strictly_increasing)
+    return _solve(p, b)

@@ -117,6 +117,43 @@ def test_bad_range_is_usage_error(config_path, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["spectrum", "--config", "{base}", "--grid", "21", "--range", "-1:1"], 0),
+    (["windows", "--config", "{base}", "--grid", "201", "--range", "-1:1"], 0),
+    (["sweep", "--config", "{base}", "--set", "f_hz=0,1e6", "--grid", "21",
+      "--range", "-1:1"], 0),
+    (["validate", "--config", "{base}", "--grid", "21", "--range", "-1:1"], 0),
+    (["delay", "--config", "{base}", "--sweep", "f", "--grid", "11",
+      "--range", "-0.1:0.3"], 1),
+    (["steady", "--config", "{micro}", "--grid", "6",
+      "--brange", "-1e-5:1e-5"], 1),
+    (["preset", "fig3c", "--grid", "21", "--range", "-1:1"], 0),
+    (["preset", "fig8a", "--grid", "11", "--range", "-0.1:0.3"], 1),
+    (["preset", "fig2a", "--grid", "6", "--brange", "-1e-5:1e-5"], 1),
+], ids=["spectrum", "windows", "sweep", "validate", "delay", "steady",
+        "spectrum-preset", "delay-preset", "steady-preset"])
+def test_negative_range_bound_parses_as_equals_form(args, code, tmp_path,
+                                                     capsys):
+    base, micro = tmp_path / "base.cfg", tmp_path / "micro.cfg"
+    base.write_text(BASELINE_CONFIG)
+    micro.write_text(MICROSCOPIC_CONFIG)
+    args = [a.replace("{base}", str(base)).replace("{micro}", str(micro))
+            for a in args]
+    spaced, equals = tmp_path / "spaced.csv", tmp_path / "equals.csv"
+    assert run(args + ["--out", str(spaced)]) == code
+    spaced_streams = capsys.readouterr()
+    joined = args[:-2] + [f"{args[-2]}={args[-1]}"]
+    assert run(joined + ["--out", str(equals)]) == code
+    equals_streams = capsys.readouterr()
+    assert spaced_streams == equals_streams
+    if code == 0:
+        assert spaced.read_bytes() == equals.read_bytes()
+    else:
+        assert not spaced.exists() and not equals.exists()
+    if args[0] in ("steady", "preset") and "--brange" in args:
+        assert "B must be non-negative" in spaced_streams.err
+
+
 def test_preset_fig3c_census(tmp_path):
     out = tmp_path / "fig3c.csv"
     assert run(["preset", "fig3c", "--out", str(out)]) == 0
@@ -215,6 +252,9 @@ def test_steady_subcommand_schema(tmp_path):
     assert len(rows) == 11
     assert rows[0][1] == 0.0
     assert rows[-1][1] > 0.0
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    (note,) = [ln for ln in manifest if ln.startswith("# steady: ")]
+    assert 0.0 <= float(note.partition("max_residual=")[2]) <= 1e-8
 
 
 def test_steady_on_effective_config_fails(config_path, tmp_path):
@@ -325,6 +365,8 @@ def test_preset_fig2a_schema(tmp_path):
     assert header == ["f_over_omega_p", "B_tesla", "magnon_number",
                       "re_n2s", "im_n2s", "delta_n2_eff", "roots"]
     assert len(rows) == 24  # 4 curves x 6 field points
+    manifest = Path(str(out) + ".manifest.txt").read_text()
+    assert "\n# steady: max_residual=" in manifest
 
 
 def test_preset_fig8b_crossings_file(tmp_path):
