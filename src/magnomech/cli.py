@@ -155,9 +155,16 @@ def _load_params(args) -> SystemParams:
     return p
 
 
-def _delta_grid(p: SystemParams, args, default_points=2001):
-    lo, hi = args.sweep_range if args.sweep_range else (0.0, 2.0)
-    n = args.grid if args.grid else default_points
+def _axis(args, kind, default=None) -> tuple[float, float, int]:
+    """(lo, hi, points) of a run's sweep axis: the range option and --grid
+    where given, else ``default``, else the kind's entry in presets.AXES."""
+    lo, hi, n = default or presets.AXES[kind]
+    given = args.brange if kind == "steady" else args.sweep_range
+    lo, hi = given or (lo, hi)
+    return lo, hi, args.grid or n
+
+
+def _omega_p_grid(p: SystemParams, lo, hi, n) -> np.ndarray:
     return np.linspace(lo * p.omega_p, hi * p.omega_p, n)
 
 
@@ -170,29 +177,41 @@ def _write_manifest(out_path: str, argv, p: SystemParams, run_notes) -> None:
                                                      newline="")
 
 
-def _spectrum_rows(p: SystemParams, spectrum: response.Spectrum):
-    for k in range(spectrum.delta.size):
-        yield (spectrum.delta[k] / p.omega_p,
-               spectrum.eout[k].real, spectrum.eout[k].imag,
-               spectrum.t[k].real, spectrum.t[k].imag,
-               spectrum.t2[k], spectrum.tau[k])
+def _write_spectra(out, p: SystemParams, tag_names, curves) -> None:
+    """Spectrum table: every (tags, Spectrum) curve, streamed row by row."""
+    csvio.write_csv(out, tag_names + SPECTRUM_HEADER, (
+        tags + (s.delta[k] / p.omega_p, s.eout[k].real, s.eout[k].imag,
+                s.t[k].real, s.t[k].imag, s.t2[k], s.tau[k])
+        for tags, s in curves for k in range(s.delta.size)))
 
 
 def _cmd_spectrum(args, argv) -> int:
     p = _load_params(args)
-    grid = _delta_grid(p, args)
+    lo, hi, n = _axis(args, "spectrum")
     state = steady_state.solve_steady_state(p)
-    spectrum = response.evaluate_spectrum(p, state, grid)
-    csvio.write_csv(args.out, SPECTRUM_HEADER, _spectrum_rows(p, spectrum))
+    spectrum = response.evaluate_spectrum(p, state,
+                                          _omega_p_grid(p, lo, hi, n))
+    _write_spectra(args.out, p, [], [((), spectrum)])
     _write_manifest(args.out, argv, p,
-                    [f"run: spectrum grid={grid.size} "
-                     f"range={grid[0] / p.omega_p:g}:{grid[-1] / p.omega_p:g}"])
+                    [f"run: spectrum grid={n} range={lo:g}:{hi:g}"])
     return 0
 
 
-def _steady_rows(b_grid: np.ndarray, s: steady_state.SteadyState):
-    return zip(b_grid.tolist(), s.magnon_number.tolist(), s.n2s.real.tolist(),
-               s.n2s.imag.tolist(), s.delta_n2_eff.tolist(), s.roots.tolist())
+def _write_steady(out, b_grid: np.ndarray, tag_names, curves) -> list[str]:
+    """Steady table of every (tags, SteadyState) curve over ``b_grid``;
+    returns the monotone and residual notes over all curves."""
+    curves = list(curves)
+    csvio.write_csv(out, tag_names + STEADY_HEADER, (
+        tags + row for tags, s in curves for row in zip(
+            b_grid.tolist(), s.magnon_number.tolist(), s.n2s.real.tolist(),
+            s.n2s.imag.tolist(), s.delta_n2_eff.tolist(), s.roots.tolist())))
+    increasing = b_grid.size > 1 and all(
+        bool(np.all(np.diff(s.magnon_number) > 0.0)) for _, s in curves)
+    bistable = sum(np.count_nonzero(s.roots == 3) for _, s in curves)
+    worst = max(np.max(s.residual) for _, s in curves)
+    return [f"monotone: strictly_increasing={increasing} "
+            f"bistable_points={bistable}",
+            f"steady: max_residual={csvio.fmt(worst)}"]
 
 
 def _cmd_steady(args, argv) -> int:
@@ -200,20 +219,13 @@ def _cmd_steady(args, argv) -> int:
         print("error: steady takes --grid only with --brange", file=sys.stderr)
         return 2
     p = _load_params(args)
-    if args.brange:
-        lo, hi = args.brange
-        grid = np.linspace(lo, hi, args.grid if args.grid else 51)
-    else:
-        grid = np.array([p.B_field])
-    state = steady_state.magnon_number_sweep(p, grid)
-    m = state.magnon_number
-    increasing = m.size > 1 and bool(np.all(np.diff(m) > 0.0))
-    notes = [f"run: steady points={grid.size} "
-             f"brange={grid[0]:g}:{grid[-1]:g}",
-             f"monotone: strictly_increasing={increasing} "
-             f"bistable_points={np.count_nonzero(state.roots == 3)}",
-             f"steady: max_residual={csvio.fmt(np.max(state.residual))}"]
-    csvio.write_csv(args.out, STEADY_HEADER, _steady_rows(grid, state))
+    # without --brange: the one point at the config's drive field
+    lo, hi, n = _axis(args, "steady",
+                      None if args.brange else (p.B_field, p.B_field, 1))
+    grid = np.linspace(lo, hi, n)
+    notes = [f"run: steady points={n} brange={lo:g}:{hi:g}"]
+    notes += _write_steady(args.out, grid, [], [
+        ((), steady_state.magnon_number_sweep(p, grid))])
     _write_manifest(args.out, argv, p, notes)
     return 0
 
@@ -224,33 +236,54 @@ def _crossing_rows(crossings, tag=()):
         yield tag + (f"{c.parameter}_hz", c.value / TWO_PI, c.direction)
 
 
+def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
+                  name=None) -> list[str]:
+    """Delay table and crossings file of every (tags, CrossingReport)
+    curve.  Prints each crossing, and each discarded bracket on stderr;
+    a tagged curve's lines start with the preset ``name`` and its tag.
+    Returns the crossing-count note over all curves."""
+    rows, crossing_rows = [], []
+    found = discarded = 0
+    for tags, report in curves:
+        rows.extend(tags + (v, v / p.omega_p, tau)
+                    for v, tau in report.samples)
+        crossing_rows.extend(_crossing_rows(report.crossings, tags))
+        label = f"{name} {tag_names[0]}={csvio.fmt(tags[0])}: " if tags else ""
+        for c in report.crossings:
+            at = (f"{c.value:.6e} rad/s ({c.value / TWO_PI:.6e} Hz), "
+                  f"{c.direction}")
+            print(f"{label}{c.parameter} crossing at {at}" if tags
+                  else f"crossing: {c.parameter} = {at}")
+        for lo, hi, reason in report.invalid:
+            print(f"warning: {label}discarded {parameter} bracket "
+                  f"{lo:.6e}:{hi:.6e} rad/s: {reason}", file=sys.stderr)
+        found += len(report.crossings)
+        discarded += len(report.invalid)
+    if not tag_names and not found:
+        print("no group-delay sign crossings in the swept range")
+    csvio.write_csv(out, tag_names + [f"{parameter}_rad_per_s",
+                                      f"{parameter}_over_omega_p", "tau_s"],
+                    rows)
+    csvio.write_csv(str(out) + ".crossings.csv",
+                    tag_names + CROSSINGS_HEADER, crossing_rows)
+    return [f"crossings: found={found} discarded={discarded}"]
+
+
 def _cmd_delay(args, argv) -> int:
     p = _load_params(args)
-    lo, hi = args.sweep_range if args.sweep_range else (0.0, 0.3)
-    n = args.grid if args.grid else 121
-    grid = np.linspace(lo * p.omega_p, hi * p.omega_p, n)
-    fixed_delta = args.delta * p.omega_p
-    report = analysis.delay_sign_crossings(p, args.sweep, grid, fixed_delta)
-    header = [f"{args.sweep}_rad_per_s", f"{args.sweep}_over_omega_p", "tau_s"]
-    csvio.write_csv(args.out, header,
-                    ((v, v / p.omega_p, tau) for v, tau in report.samples))
-    crossings_path = str(args.out) + ".crossings.csv"
-    csvio.write_csv(crossings_path, CROSSINGS_HEADER,
-                    _crossing_rows(report.crossings))
-    for c in report.crossings:
-        print(f"crossing: {c.parameter} = {c.value:.6e} rad/s "
-              f"({c.value / TWO_PI:.6e} Hz), {c.direction}")
-    if not report.crossings:
-        print("no group-delay sign crossings in the swept range")
-    _write_manifest(args.out, argv, p,
-                    [f"run: delay sweep={args.sweep} points={n} "
-                     f"range={lo:g}:{hi:g} delta={args.delta:g}"])
+    lo, hi, n = _axis(args, "delay")
+    report = analysis.delay_sign_crossings(
+        p, args.sweep, _omega_p_grid(p, lo, hi, n), args.delta * p.omega_p)
+    notes = [f"run: delay sweep={args.sweep} points={n} "
+             f"range={lo:g}:{hi:g} delta={args.delta:g}"]
+    notes += _write_delays(args.out, p, args.sweep, [], [((), report)])
+    _write_manifest(args.out, argv, p, notes)
     return 0
 
 
 def _cmd_windows(args, argv) -> int:
     p = _load_params(args)
-    grid = _delta_grid(p, args)
+    grid = _omega_p_grid(p, *_axis(args, "spectrum"))
     state = steady_state.solve_steady_state(p)
     spectrum = response.evaluate_spectrum(p, state, grid)
     report = analysis.find_windows(grid, spectrum.eout.real, args.prominence)
@@ -269,18 +302,12 @@ def _cmd_sweep(args, argv) -> int:
     if len(args.sweep_sets) > 2:
         print("error: at most two --set parameters", file=sys.stderr)
         return 2
-    grid = _delta_grid(p, args)
+    grid = _omega_p_grid(p, *_axis(args, "spectrum"))
     keys = [key for key, _ in args.sweep_sets]
-    header = keys + SPECTRUM_HEADER
-
-    def rows():
+    _write_spectra(args.out, p, keys, (
+        (tuple(overrides[k] for k in keys), spectrum)
         for overrides, spectrum in analysis.sweep_spectrum(
-                p, args.sweep_sets, grid):
-            tags = tuple(overrides[k] for k in keys)
-            for row in _spectrum_rows(p, spectrum):
-                yield tags + row
-
-    csvio.write_csv(args.out, header, rows())
+            p, args.sweep_sets, grid)))
     _write_manifest(args.out, argv, p,
                     [f"run: sweep grid={grid.size} " +
                      " ".join(f"{k}={','.join(csvio.fmt(v) for v in vs)}"
@@ -290,7 +317,7 @@ def _cmd_sweep(args, argv) -> int:
 
 def _cmd_validate(args, argv) -> int:
     p = _load_params(args)
-    grid = _delta_grid(p, args)
+    grid = _omega_p_grid(p, *_axis(args, "spectrum"))
     state = steady_state.solve_steady_state(p)
     report = oracle.cross_validate(p, state, grid)
     summary = (f"max_rel_dev={csvio.fmt(report.max_rel_dev)} at "
@@ -313,12 +340,6 @@ def _cmd_validate(args, argv) -> int:
     return 0 if ok else 1
 
 
-def _curve_tag(preset: presets.Preset, p: SystemParams, value: float):
-    if preset.curve_key == "f_hz":
-        return "f_over_omega_p", TWO_PI * value / p.omega_p
-    return "G_au_hz", value
-
-
 def _cmd_preset(args, argv) -> int:
     preset = presets.get_preset(args.name)
     # steady presets sweep the drive field, the others a detuning or coupling
@@ -329,71 +350,39 @@ def _cmd_preset(args, argv) -> int:
               file=sys.stderr)
         return 2
     base = preset.resolve()
+    key, values = preset.curve_key, preset.curve_values
+    # tunnelling curves are tagged in omega_p units
+    tag_name = "f_over_omega_p" if key == "f_hz" else key
+
+    def tag(value):
+        return (TWO_PI * value / base.omega_p if key == "f_hz" else value,)
+
+    lo, hi, n = _axis(args, preset.kind, preset.axis)
     notes = [f"run: preset {args.name} kind={preset.kind}",
-             f"curves: {preset.curve_key} = "
-             f"{','.join(csvio.fmt(v) for v in preset.curve_values)}"]
+             f"curves: {key} = {','.join(csvio.fmt(v) for v in values)}"]
 
     if preset.kind == "spectrum":
-        lo, hi = args.sweep_range if args.sweep_range else (preset.lo, preset.hi)
-        n = args.grid if args.grid else preset.grid
-        grid = np.linspace(lo * base.omega_p, hi * base.omega_p, n)
-        tag_name = _curve_tag(preset, base, 0.0)[0]
-        rows = []
-        for value in preset.curve_values:
-            p = apply_override(base, preset.curve_key, value)
-            state = steady_state.solve_steady_state(p)
-            spectrum = response.evaluate_spectrum(p, state, grid)
-            tag = _curve_tag(preset, p, value)[1]
-            rows.extend((tag,) + row for row in _spectrum_rows(p, spectrum))
-        csvio.write_csv(args.out, [tag_name] + SPECTRUM_HEADER, rows)
+        spectra = analysis.sweep_spectrum(base, [(key, values)],
+                                          _omega_p_grid(base, lo, hi, n))
+        _write_spectra(args.out, base, [tag_name],
+                       ((tag(overrides[key]), s) for overrides, s in spectra))
         notes.append(f"grid={n} range={lo:g}:{hi:g}")
-
     elif preset.kind == "steady":
-        lo, hi = args.brange if args.brange else (preset.b_lo, preset.b_hi)
-        n = args.grid if args.grid else preset.b_points
-        b_grid = np.linspace(lo, hi, n)
-        tag_name = _curve_tag(preset, base, 0.0)[0]
-        rows = []
-        worst = 0.0
-        for value in preset.curve_values:
-            p = apply_override(base, preset.curve_key, value)
-            state = steady_state.magnon_number_sweep(p, b_grid)
-            worst = max(worst, np.max(state.residual))
-            tag = _curve_tag(preset, p, value)[1]
-            rows.extend((tag,) + row for row in _steady_rows(b_grid, state))
-        csvio.write_csv(args.out, [tag_name] + STEADY_HEADER, rows)
-        notes += [f"b_points={n} brange={lo:g}:{hi:g}",
-                  f"steady: max_residual={csvio.fmt(worst)}"]
-
+        grid = np.linspace(lo, hi, n)
+        notes.append(f"b_points={n} brange={lo:g}:{hi:g}")
+        notes += _write_steady(args.out, grid, [tag_name], (
+            (tag(v), steady_state.magnon_number_sweep(
+                apply_override(base, key, v), grid)) for v in values))
     else:  # delay
-        lo, hi = args.sweep_range if args.sweep_range else (preset.sweep_lo,
-                                                            preset.sweep_hi)
-        n = args.grid if args.grid else preset.sweep_points
-        axis = np.linspace(lo * base.omega_p, hi * base.omega_p, n)
-        fixed_delta = preset.fixed_delta * base.omega_p
-        tag_name = _curve_tag(preset, base, 0.0)[0]
-        rows = []
-        crossing_rows = []
-        for value in preset.curve_values:
-            p = apply_override(base, preset.curve_key, value)
-            report = analysis.delay_sign_crossings(p, preset.sweep_param,
-                                                   axis, fixed_delta)
-            tag = _curve_tag(preset, p, value)[1]
-            rows.extend((tag, v, v / p.omega_p, tau)
-                        for v, tau in report.samples)
-            crossing_rows.extend(_crossing_rows(report.crossings, (tag,)))
-            for c in report.crossings:
-                print(f"{args.name} {tag_name}={csvio.fmt(tag)}: "
-                      f"{c.parameter} crossing at {c.value:.6e} rad/s "
-                      f"({c.value / TWO_PI:.6e} Hz), {c.direction}")
-        header = [tag_name, f"{preset.sweep_param}_rad_per_s",
-                  f"{preset.sweep_param}_over_omega_p", "tau_s"]
-        csvio.write_csv(args.out, header, rows)
-        csvio.write_csv(str(args.out) + ".crossings.csv",
-                        [tag_name] + CROSSINGS_HEADER, crossing_rows)
+        grid = _omega_p_grid(base, lo, hi, n)
         notes.append(f"sweep={preset.sweep_param} points={n} "
                      f"range={lo:g}:{hi:g} delta={preset.fixed_delta:g}")
-
+        notes += _write_delays(
+            args.out, base, preset.sweep_param, [tag_name],
+            ((tag(v), analysis.delay_sign_crossings(
+                apply_override(base, key, v), preset.sweep_param, grid,
+                preset.fixed_delta * base.omega_p)) for v in values),
+            args.name)
     _write_manifest(args.out, argv, base, notes)
     return 0
 

@@ -51,7 +51,7 @@ _COUPLING_FIELDS = ("g1", "g2", "f", "G_au", "g_np")
 class SystemParams:
     """Validated parameter record, all frequencies angular (rad/s).
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction.
     """
 
     # phonon frequency and the drive (rotating) frame

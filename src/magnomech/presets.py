@@ -53,6 +53,14 @@ sphere_diameter_m = 250e-6
 """
 
 
+#: Default sweep axis (lo, hi, points) per run kind, shared by the
+#: subcommands and the presets: the probe detuning and the delay coupling
+#: in omega_p units, the drive field in tesla.
+AXES = {"spectrum": (0.0, 2.0, 2001),
+        "steady": (0.0, 5e-5, 51),
+        "delay": (0.0, 0.3, 121)}
+
+
 def baseline_params() -> SystemParams:
     return parse_config(BASELINE_CONFIG)
 
@@ -70,19 +78,9 @@ class Preset:
     overrides: tuple = ()           # (config key, value) pairs, file units
     curve_key: str = "f_hz"         # config key varied across curves
     curve_values: tuple = ()        # file units (Hz)
-    # spectrum sweeps: probe detuning grid in omega_p units
-    grid: int = 2001
-    lo: float = 0.0
-    hi: float = 2.0
-    # steady sweeps: drive field grid in tesla
-    b_lo: float = 0.0
-    b_hi: float = 5e-5
-    b_points: int = 51
-    # delay sweeps: coupling axis in omega_p units at fixed probe detuning
+    axis: tuple | None = None       # (lo, hi, points); None: AXES[kind]
+    # delay sweeps: swept coupling, at a fixed probe detuning
     sweep_param: str = "f"
-    sweep_lo: float = 0.0
-    sweep_hi: float = 0.3
-    sweep_points: int = 121
     fixed_delta: float = 1.0        # omega_p units
 
     def resolve(self) -> SystemParams:
@@ -155,7 +153,8 @@ def _build_presets() -> dict[str, Preset]:
             description=f"absorption vs tunnelling at B = {b * 1e3:g} mT "
                         "(drive-built coupling)",
             overrides=(("B_tesla", b),),
-            curve_key="f_hz", curve_values=_F_CURVES, grid=4001)
+            curve_key="f_hz", curve_values=_F_CURVES,
+            axis=(0.0, 2.0, 4001))
 
     presets["fig6a"] = _spectrum(
         "fig6a", "Fano lineshapes vs tunnelling (magnons detuned from the "
@@ -180,15 +179,14 @@ def _build_presets() -> dict[str, Preset]:
         name="fig8a", kind="delay",
         description="group delay vs tunnelling at the phonon-resonant probe",
         overrides=_DELAY_COUPLINGS,
-        curve_key="G_au_hz", curve_values=(0.0, 3.0e6, 6.0e6),
-        sweep_param="f", sweep_lo=0.0, sweep_hi=0.3, sweep_points=121)
+        curve_key="G_au_hz", curve_values=(0.0, 3.0e6, 6.0e6))
     presets["fig8b"] = Preset(
         name="fig8b", kind="delay",
         description="group delay vs atom-photon coupling at the "
                     "phonon-resonant probe",
         overrides=_DELAY_COUPLINGS + (("G_au_hz", 0.0),),
         curve_key="f_hz", curve_values=(0.0, 3.0e6),
-        sweep_param="G_au", sweep_lo=0.0, sweep_hi=0.6, sweep_points=121)
+        sweep_param="G_au", axis=(0.0, 0.6, 121))
 
     # dispersion panels share their absorption siblings' data: the CSV
     # carries both the real and imaginary output-field columns

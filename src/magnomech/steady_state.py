@@ -193,7 +193,8 @@ def magnon_number_sweep(p: SystemParams, B_grid) -> SteadyState:
     run (``roots`` back to 1).
     """
     if p.coupling_mode != MICROSCOPIC:
-        raise ConfigError("magnon_number_sweep requires microscopic mode")
+        raise ConfigError("a drive-field sweep requires coupling_mode = "
+                          "microscopic")
     b = np.asarray(B_grid, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ConfigError("B_grid must be a non-empty 1-D grid")

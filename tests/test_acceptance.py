@@ -32,7 +32,7 @@ from magnomech.cli import run
 from magnomech.oracle import build_fluctuation_matrix, cross_validate, solve_fluctuations
 from magnomech.params import (TWO_PI, apply_override, parse_config,
                               rabi_frequency)
-from magnomech.presets import BASELINE_CONFIG, get_preset
+from magnomech.presets import AXES, BASELINE_CONFIG, get_preset
 from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import magnon_number_sweep, solve_steady_state
 
@@ -211,8 +211,8 @@ def test_criterion_5_delay_plateau_without_tunnelling():
     preset = get_preset("fig8b")
     p = apply_override(preset.resolve(), "f_hz", 0.0)
     wp = p.omega_p
-    axis = np.linspace(preset.sweep_lo * wp, preset.sweep_hi * wp,
-                       preset.sweep_points)
+    lo, hi, points = preset.axis
+    axis = np.linspace(lo * wp, hi * wp, points)
     taus = []
     for gau in axis:
         p2 = with_overrides(p, G_au_hz=gau / TWO_PI)
@@ -246,7 +246,9 @@ def test_criterion_6_delay_sign_crossings():
     fig8a = get_preset("fig8a")
     p_a = apply_override(fig8a.resolve(), "G_au_hz", 0.0)
     wp = p_a.omega_p
-    grid_a = np.linspace(fig8a.sweep_lo * wp, fig8a.sweep_hi * wp, 61)
+    assert fig8a.axis is None
+    lo, hi, _ = AXES["delay"]
+    grid_a = np.linspace(lo * wp, hi * wp, 61)
     report_a = delay_sign_crossings(p_a, "f", grid_a, wp)
     assert len(report_a.crossings) == 1
     assert report_a.crossings[0].direction == "pos->neg"
@@ -254,7 +256,8 @@ def test_criterion_6_delay_sign_crossings():
 
     fig8b = get_preset("fig8b")
     p_b = apply_override(fig8b.resolve(), "f_hz", 3.0e6)  # 0.3 omega_p
-    grid_b = np.linspace(fig8b.sweep_lo * wp, fig8b.sweep_hi * wp, 61)
+    lo, hi, _ = fig8b.axis
+    grid_b = np.linspace(lo * wp, hi * wp, 61)
     report_b = delay_sign_crossings(p_b, "G_au", grid_b, wp)
     assert len(report_b.crossings) == 1
     assert report_b.crossings[0].direction == "neg->pos"
@@ -382,8 +385,8 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     # difference (relative to the curve's largest |tau|)
     worst_resolvent = worst_fd = (-1.0, "")
     for name in SPECTRUM_PRESETS:
-        preset = get_preset(name)
-        for value, p, state, spectrum in _curves(name, preset.grid):
+        _, _, points = get_preset(name).axis or AXES["spectrum"]
+        for value, p, state, spectrum in _curves(name, points):
             ok = spectrum.tau_reliable
             tau = spectrum.tau[ok]
             exact = resolvent_group_delay(p, state, spectrum.delta)[ok]

@@ -8,7 +8,10 @@ import pytest
 from magnomech.analysis import find_windows
 from magnomech.cli import run
 from magnomech.params import parse_config
+from magnomech.params import TWO_PI
 from magnomech.presets import BASELINE_CONFIG, MICROSCOPIC_CONFIG, PRESETS
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -257,9 +260,19 @@ def test_steady_subcommand_schema(tmp_path):
     assert 0.0 <= float(note.partition("max_residual=")[2]) <= 1e-8
 
 
-def test_steady_on_effective_config_fails(config_path, tmp_path):
+def test_steady_on_effective_config_fails(config_path, tmp_path, capsys):
     assert run(["steady", "--config", config_path,
                 "--out", str(tmp_path / "x.csv")]) == 1
+    # the message names the config key to change, not an internal function
+    assert "coupling_mode = microscopic" in capsys.readouterr().err
+
+
+def test_one_point_steady_manifest_keeps_requested_brange(tmp_path):
+    out = tmp_path / "steady.csv"
+    assert run(["steady", "--config", str(DOCS / "microscopic.cfg"),
+                "--brange", "0:1e-5", "--grid", "1", "--out", str(out)]) == 0
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# run: steady points=1 brange=0:1e-05" in manifest
 
 
 def test_delay_subcommand_with_crossings(tmp_path):
@@ -282,6 +295,39 @@ def test_delay_subcommand_with_crossings(tmp_path):
     assert xrows[0][2] == "pos->neg"
     assert xrows[0][1] == pytest.approx(13.20e6, rel=0.01)
     assert xrows[1][1] == pytest.approx(xrows[0][1] / (2 * np.pi), rel=1e-12)
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# crossings: found=1 discarded=0" in manifest
+
+
+def test_delay_reports_discarded_brackets(tmp_path, capsys):
+    # matched tunnelling between two resonant bare cavities nulls |t| at
+    # f = kappa_a, a grid point: both brackets that end there are
+    # discarded, not refined
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(BASELINE_CONFIG
+                   .replace("g1_hz = 1.5e6", "g1_hz = 0")
+                   .replace("g2_hz = 1.5e6", "g2_hz = 0")
+                   .replace("G_np_hz = 3.5e6", "G_np_hz = 0")
+                   .replace("G_au_hz = 6e6", "G_au_hz = 0")
+                   + "delta_1_hz = 0\ndelta_2_hz = 0\n")
+    out = tmp_path / "delay.csv"
+    assert run(["delay", "--config", str(cfg), "--sweep", "f", "--range",
+                "0.1:0.3", "--grid", "21", "--delta", "0",
+                "--out", str(out)]) == 0
+    streams = capsys.readouterr()
+    assert streams.out == "no group-delay sign crossings in the swept range\n"
+    warnings = streams.err.splitlines()
+    assert len(warnings) == 2
+    kappa_a = TWO_PI * 2.1e6
+    for line in warnings:
+        assert line.startswith("warning: discarded f bracket ")
+        assert line.endswith(" rad/s: unreliable delay at bracket point")
+        bounds = [float(v) for v in line.split()[4].split(":")]
+        assert kappa_a in [pytest.approx(b, rel=1e-6) for b in bounds]
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# crossings: found=0 discarded=2" in manifest
+    assert len(_read_csv(out)[1]) == 21
+    assert _read_csv(str(out) + ".crossings.csv")[1] == []
 
 
 def test_sweep_subcommand(config_path, tmp_path):
@@ -350,12 +396,28 @@ def test_every_manifest_reruns(tmp_path, config, args):
                 == Path(str(first) + ".crossings.csv").read_bytes())
 
 
-@pytest.mark.parametrize("name", ["fig3a", "fig2a", "fig8b"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_manifest_reparses(tmp_path, name):
     out = tmp_path / "preset.csv"
     assert run(["preset", name, "--out", str(out), "--grid", "11"]) == 0
     manifest = Path(str(out) + ".manifest.txt").read_text()
-    assert parse_config(manifest) == PRESETS[name].resolve()
+    preset = PRESETS[name]
+    assert parse_config(manifest) == preset.resolve()
+    header, rows = _read_csv(out)
+    tunnelling = preset.curve_key == "f_hz"
+    assert header[0] == ("f_over_omega_p" if tunnelling else "G_au_hz")
+    scale = TWO_PI / preset.resolve().omega_p if tunnelling else 1.0
+    expected = [v * scale for v in preset.curve_values]
+    tags = list(dict.fromkeys(row[0] for row in rows))
+    assert tags == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert len(rows) == 11 * len(expected)
+
+
+def test_spectrum_preset_is_bounded_by_the_sweep_budget(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["preset", "fig3a", "--grid", "250001", "--out", str(out)]) == 1
+    assert "sweep budget exceeded" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preset_fig2a_schema(tmp_path):
@@ -367,6 +429,9 @@ def test_preset_fig2a_schema(tmp_path):
     assert len(rows) == 24  # 4 curves x 6 field points
     manifest = Path(str(out) + ".manifest.txt").read_text()
     assert "\n# steady: max_residual=" in manifest
+    # the monotone note holds over all four curves
+    assert ("\n# monotone: strictly_increasing=True bistable_points=0\n"
+            in manifest)
 
 
 def test_preset_fig8b_crossings_file(tmp_path):
@@ -382,6 +447,8 @@ def test_preset_fig8b_crossings_file(tmp_path):
     tags = {row[0] for row in xrows}
     assert tags == {0.3}
     assert [row[3] for row in xrows] == ["neg->pos", "neg->pos"]
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# crossings: found=1 discarded=0" in manifest
 
 
 def test_every_preset_resolves():

@@ -6,7 +6,7 @@ import pytest
 
 from magnomech.errors import ConfigError, ConvergenceError
 from magnomech.params import apply_override, rabi_frequency
-from magnomech.presets import get_preset
+from magnomech.presets import AXES, get_preset
 from magnomech.steady_state import (equations_residual, magnon_number_sweep,
                                     solve_steady_state)
 
@@ -58,7 +58,8 @@ def test_population_matches_direct_solve():
     # which shares none of the production chain-product algebra
     preset = get_preset("fig2a")
     base = preset.resolve()
-    b_grid = np.linspace(preset.b_lo, preset.b_hi, preset.b_points)
+    assert preset.axis is None
+    b_grid = np.linspace(*AXES["steady"])
     for value in preset.curve_values:
         p = apply_override(base, preset.curve_key, value)
         produced = magnon_number_sweep(p, b_grid).magnon_number
