@@ -44,7 +44,8 @@ class Crossing:
 class CrossingReport:
     crossings: list[Crossing]
     invalid: list[tuple[float, float, str]]   # bracket lo, hi, reason
-    samples: list[tuple[float, float]]        # (parameter value, tau)
+    values: np.ndarray                        # swept parameter values
+    tau: np.ndarray                           # group delay at each value
 
 
 def _turning_points(y: np.ndarray) -> tuple[list[int], list[int]]:
@@ -149,7 +150,6 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
         raise ConfigError("sweep grid must be sorted strictly ascending")
 
     results = [_tau_at(p, parameter, v, fixed_delta) for v in values]
-    samples = [(v, tau) for v, (tau, _) in zip(values, results)]
 
     crossings: list[Crossing] = []
     invalid: list[tuple[float, float, str]] = []
@@ -178,7 +178,9 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
             crossings.append(Crossing(parameter=parameter,
                                       value=0.5 * (a + b),
                                       direction=direction))
-    return CrossingReport(crossings=crossings, invalid=invalid, samples=samples)
+    return CrossingReport(crossings=crossings, invalid=invalid,
+                          values=np.array(values),
+                          tau=np.array([tau for tau, _ in results]))
 
 
 def sweep_spectrum(p: SystemParams, sweep_spec, deltas):

@@ -169,20 +169,21 @@ def _omega_p_grid(p: SystemParams, lo, hi, n) -> np.ndarray:
 
 
 def _write_manifest(out_path: str, argv, p: SystemParams, run_notes) -> None:
-    lines = ["# magnomech run manifest",
-             f"# argv: {' '.join(argv)}"]
-    lines.extend(f"# {note}" for note in run_notes)
-    text = "\n".join(lines) + "\n" + serialize_config(p)
+    lines = ["magnomech run manifest", f"argv: {' '.join(argv)}", *run_notes]
+    text = "".join(f"# {line}\n" for line in lines) + serialize_config(p)
     Path(str(out_path) + ".manifest.txt").write_text(text, encoding="utf-8",
                                                      newline="")
 
 
-def _write_spectra(out, p: SystemParams, tag_names, curves) -> None:
-    """Spectrum table: every (tags, Spectrum) curve, streamed row by row."""
+def _write_spectra(out, p: SystemParams, tag_names, curves) -> list[str]:
+    """Spectrum table of every (tags, Spectrum) curve; returns the note
+    counting unreliable group-delay points over all curves."""
+    curves = list(curves)
     csvio.write_csv(out, tag_names + SPECTRUM_HEADER, (
-        tags + (s.delta[k] / p.omega_p, s.eout[k].real, s.eout[k].imag,
-                s.t[k].real, s.t[k].imag, s.t2[k], s.tau[k])
-        for tags, s in curves for k in range(s.delta.size)))
+        (tags, (s.delta / p.omega_p, s.eout.real, s.eout.imag, s.t.real,
+                s.t.imag, s.t2, s.tau)) for tags, s in curves))
+    unreliable = sum(np.count_nonzero(~s.tau_reliable) for _, s in curves)
+    return [f"spectrum: unreliable_points={unreliable}"]
 
 
 def _cmd_spectrum(args, argv) -> int:
@@ -191,9 +192,9 @@ def _cmd_spectrum(args, argv) -> int:
     state = steady_state.solve_steady_state(p)
     spectrum = response.evaluate_spectrum(p, state,
                                           _omega_p_grid(p, lo, hi, n))
-    _write_spectra(args.out, p, [], [((), spectrum)])
-    _write_manifest(args.out, argv, p,
-                    [f"run: spectrum grid={n} range={lo:g}:{hi:g}"])
+    notes = [f"run: spectrum grid={n} range={lo:g}:{hi:g}"]
+    notes += _write_spectra(args.out, p, [], [((), spectrum)])
+    _write_manifest(args.out, argv, p, notes)
     return 0
 
 
@@ -202,9 +203,8 @@ def _write_steady(out, b_grid: np.ndarray, tag_names, curves) -> list[str]:
     returns the monotone and residual notes over all curves."""
     curves = list(curves)
     csvio.write_csv(out, tag_names + STEADY_HEADER, (
-        tags + row for tags, s in curves for row in zip(
-            b_grid.tolist(), s.magnon_number.tolist(), s.n2s.real.tolist(),
-            s.n2s.imag.tolist(), s.delta_n2_eff.tolist(), s.roots.tolist())))
+        (tags, (b_grid, s.magnon_number, s.n2s.real, s.n2s.imag,
+                s.delta_n2_eff, s.roots)) for tags, s in curves))
     increasing = b_grid.size > 1 and all(
         bool(np.all(np.diff(s.magnon_number) > 0.0)) for _, s in curves)
     bistable = sum(np.count_nonzero(s.roots == 3) for _, s in curves)
@@ -230,24 +230,22 @@ def _cmd_steady(args, argv) -> int:
     return 0
 
 
-def _crossing_rows(crossings, tag=()):
-    for c in crossings:
-        yield tag + (f"{c.parameter}_rad_per_s", c.value, c.direction)
-        yield tag + (f"{c.parameter}_hz", c.value / TWO_PI, c.direction)
-
-
 def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
                   name=None) -> list[str]:
     """Delay table and crossings file of every (tags, CrossingReport)
     curve.  Prints each crossing, and each discarded bracket on stderr;
     a tagged curve's lines start with the preset ``name`` and its tag.
     Returns the crossing-count note over all curves."""
-    rows, crossing_rows = [], []
+    blocks, crossing_blocks = [], []
     found = discarded = 0
     for tags, report in curves:
-        rows.extend(tags + (v, v / p.omega_p, tau)
-                    for v, tau in report.samples)
-        crossing_rows.extend(_crossing_rows(report.crossings, tags))
+        blocks.append((tags, (report.values, report.values / p.omega_p,
+                              report.tau)))
+        cs = report.crossings     # each crossing in rad/s, then in Hz
+        crossing_blocks.append((tags, (
+            [f"{c.parameter}_{u}" for c in cs for u in ("rad_per_s", "hz")],
+            [v for c in cs for v in (c.value, c.value / TWO_PI)],
+            np.repeat([c.direction for c in cs], 2))))
         label = f"{name} {tag_names[0]}={csvio.fmt(tags[0])}: " if tags else ""
         for c in report.crossings:
             at = (f"{c.value:.6e} rad/s ({c.value / TWO_PI:.6e} Hz), "
@@ -263,9 +261,9 @@ def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
         print("no group-delay sign crossings in the swept range")
     csvio.write_csv(out, tag_names + [f"{parameter}_rad_per_s",
                                       f"{parameter}_over_omega_p", "tau_s"],
-                    rows)
+                    blocks)
     csvio.write_csv(str(out) + ".crossings.csv",
-                    tag_names + CROSSINGS_HEADER, crossing_rows)
+                    tag_names + CROSSINGS_HEADER, crossing_blocks)
     return [f"crossings: found={found} discarded={discarded}"]
 
 
@@ -289,7 +287,8 @@ def _cmd_windows(args, argv) -> int:
     report = analysis.find_windows(grid, spectrum.eout.real, args.prominence)
     rows = [(w.center_delta / p.omega_p, w.depth, w.left_peak, w.right_peak,
              analysis.fano_asymmetry(w)) for w in report.windows]
-    csvio.write_csv(args.out, WINDOWS_HEADER, rows)
+    csvio.write_csv(args.out, WINDOWS_HEADER,
+                    [((), np.reshape(rows, (-1, len(WINDOWS_HEADER))).T)])
     print(f"windows: {report.count}")
     _write_manifest(args.out, argv, p,
                     [f"run: windows grid={grid.size} "
@@ -304,14 +303,14 @@ def _cmd_sweep(args, argv) -> int:
         return 2
     grid = _omega_p_grid(p, *_axis(args, "spectrum"))
     keys = [key for key, _ in args.sweep_sets]
-    _write_spectra(args.out, p, keys, (
+    notes = [f"run: sweep grid={grid.size} " +
+             " ".join(f"{k}={','.join(csvio.fmt(v) for v in vs)}"
+                      for k, vs in args.sweep_sets)]
+    notes += _write_spectra(args.out, p, keys, (
         (tuple(overrides[k] for k in keys), spectrum)
         for overrides, spectrum in analysis.sweep_spectrum(
             p, args.sweep_sets, grid)))
-    _write_manifest(args.out, argv, p,
-                    [f"run: sweep grid={grid.size} " +
-                     " ".join(f"{k}={','.join(csvio.fmt(v) for v in vs)}"
-                              for k, vs in args.sweep_sets)])
+    _write_manifest(args.out, argv, p, notes)
     return 0
 
 
@@ -324,14 +323,12 @@ def _cmd_validate(args, argv) -> int:
                f"delta_over_omega_p={csvio.fmt(report.argmax_delta / p.omega_p)}")
     if args.out:
         csvio.write_csv(args.out, ["delta_over_omega_p", "rel_dev"],
-                        ((d / p.omega_p, r) for d, r in report.points),
+                        [((), (report.deltas / p.omega_p, report.rel_dev))],
                         trailing_comments=[summary])
-        _write_manifest(args.out, argv, p,
-                        [f"run: validate grid={grid.size}", summary,
-                         f"oracle: max_residual="
-                         f"{csvio.fmt(report.max_residual)} "
-                         f"points={len(report.points)} "
-                         f"failures={len(report.failures)}"])
+        _write_manifest(args.out, argv, p, [
+            f"run: validate grid={grid.size}", summary,
+            f"oracle: max_residual={csvio.fmt(report.max_residual)} "
+            f"points={report.deltas.size} failures={len(report.failures)}"])
     print(summary)
     for d, message in report.failures:
         print(f"solver failure at delta_over_omega_p="
@@ -364,9 +361,9 @@ def _cmd_preset(args, argv) -> int:
     if preset.kind == "spectrum":
         spectra = analysis.sweep_spectrum(base, [(key, values)],
                                           _omega_p_grid(base, lo, hi, n))
-        _write_spectra(args.out, base, [tag_name],
-                       ((tag(overrides[key]), s) for overrides, s in spectra))
         notes.append(f"grid={n} range={lo:g}:{hi:g}")
+        notes += _write_spectra(args.out, base, [tag_name], (
+            (tag(overrides[key]), s) for overrides, s in spectra))
     elif preset.kind == "steady":
         grid = np.linspace(lo, hi, n)
         notes.append(f"b_points={n} brange={lo:g}:{hi:g}")

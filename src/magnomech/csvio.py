@@ -2,23 +2,32 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import numpy as np
+
+CHUNK_ROWS = 4096   # rows per format call: bounds the floats alive at once
 
 
 def fmt(value) -> str:
-    """Render one cell; floats at 17 significant digits for byte stability."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
+    """Render one tag or note value at 17 significant digits."""
     return format(float(value), ".17g")
 
 
-def write_csv(path, header, rows, trailing_comments=()) -> None:
-    """Write rows with a header line; '\\n' endings regardless of platform."""
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    lines.extend(f"# {comment}" for comment in trailing_comments)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+def write_csv(path, header, blocks, trailing_comments=()) -> None:
+    """Write a header line, every ``(tags, columns)`` block and ``# ``
+    comment lines, each ending in '\\n'.  A block's tags, formatted with
+    ``fmt``, prefix its lines; its columns share one line format, ``%.17g``
+    (``%s`` for text).  All blocks are formatted before the file is opened,
+    so a block that raises leaves no file."""
+    parts = [",".join(header) + "\n"]
+    for tags, columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        line = ",".join([fmt(t) for t in tags] + [
+            "%s" if c.dtype.kind in "US" else "%.17g" for c in columns])
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + CHUNK_ROWS].astype(object)
+                                     for c in columns])
+            parts.append((line + "\n") * len(chunk)
+                         % tuple(chunk.ravel().tolist()))
+    parts.extend(f"# {comment}\n" for comment in trailing_comments)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(parts)

@@ -200,7 +200,8 @@ def solve_fluctuations(system: FluctuationSystem,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    points: list[tuple[float, float]]      # (delta, relative deviation)
+    deltas: np.ndarray                     # solved detunings, grid order
+    rel_dev: np.ndarray                    # relative deviation at each
     failures: list[tuple[float, str]]
     max_rel_dev: float
     argmax_delta: float
@@ -267,8 +268,7 @@ def cross_validate(p: SystemParams, state: SteadyState,
     if rel.size == 0:
         raise OracleError("every grid point failed to solve")
     k = int(np.argmax(rel))
-    return ValidationReport(points=list(zip(solved_deltas.tolist(),
-                                            rel.tolist())),
+    return ValidationReport(deltas=solved_deltas, rel_dev=rel,
                             failures=failures, max_rel_dev=float(rel[k]),
                             argmax_delta=float(solved_deltas[k]),
                             max_residual=max_residual)

@@ -288,25 +288,21 @@ def _preimage_hz(x_angular: float) -> float:
     return v
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def serialize_config(p: SystemParams) -> str:
     """Render params back into the config format; parse(serialize(p)) == p."""
     lines = [f"coupling_mode = {p.coupling_mode}"]
     for key, field in _HZ_KEYS.items():
-        lines.append(f"{key} = {_fmt(_preimage_hz(getattr(p, field)))}")
+        lines.append(f"{key} = {_preimage_hz(getattr(p, field)):.17g}")
     if p.G_np_direct is not None:
         g = complex(p.G_np_direct)
         re = _preimage_hz(g.real)
         if g.imag == 0.0:
-            lines.append(f"{_COMPLEX_HZ_KEY} = {_fmt(re)}")
+            lines.append(f"{_COMPLEX_HZ_KEY} = {re:.17g}")
         else:
             im = _preimage_hz(g.imag)
-            lines.append(f"{_COMPLEX_HZ_KEY} = {_fmt(re)}{im:+.17g}j")
+            lines.append(f"{_COMPLEX_HZ_KEY} = {re:.17g}{im:+.17g}j")
     for key, field in _PLAIN_KEYS.items():
-        lines.append(f"{key} = {_fmt(getattr(p, field))}")
+        lines.append(f"{key} = {getattr(p, field):.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -138,7 +138,7 @@ def test_no_crossing_without_tunnelling(delay_template):
     report = delay_sign_crossings(delay_template, "G_au",
                                   np.linspace(0.0, 0.6 * wp, 21), wp)
     assert report.crossings == []
-    assert all(tau > 0 for _, tau in report.samples)
+    assert report.tau.size == 21 and np.all(report.tau > 0)
 
 
 def test_crossing_input_validation(delay_template):

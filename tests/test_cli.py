@@ -170,6 +170,11 @@ def test_preset_fig3c_census(tmp_path):
         delta = np.array([d for d, _ in points])
         absorption = np.array([a for _, a in points])
         assert find_windows(delta, absorption).count == 3, tag
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert manifest[2:6] == ["# run: preset fig3c kind=spectrum",
+                             "# curves: f_hz = 0,1000000,1500000,2000000",
+                             "# grid=2001 range=0:2",
+                             "# spectrum: unreliable_points=0"]
 
 
 def test_preset_output_is_byte_identical(tmp_path):
@@ -299,17 +304,21 @@ def test_delay_subcommand_with_crossings(tmp_path):
     assert "# crossings: found=1 discarded=0" in manifest
 
 
+# two resonant bare cavities: matched tunnelling (f = kappa_a) nulls |t|
+# at zero detuning, where the group delay is unreliable
+DARK_CONFIG = (BASELINE_CONFIG
+               .replace("g1_hz = 1.5e6", "g1_hz = 0")
+               .replace("g2_hz = 1.5e6", "g2_hz = 0")
+               .replace("G_np_hz = 3.5e6", "G_np_hz = 0")
+               .replace("G_au_hz = 6e6", "G_au_hz = 0")
+               + "delta_1_hz = 0\ndelta_2_hz = 0\n")
+
+
 def test_delay_reports_discarded_brackets(tmp_path, capsys):
-    # matched tunnelling between two resonant bare cavities nulls |t| at
-    # f = kappa_a, a grid point: both brackets that end there are
-    # discarded, not refined
+    # |t| vanishes at f = kappa_a, a grid point: both brackets that end
+    # there are discarded, not refined
     cfg = tmp_path / "dark.cfg"
-    cfg.write_text(BASELINE_CONFIG
-                   .replace("g1_hz = 1.5e6", "g1_hz = 0")
-                   .replace("g2_hz = 1.5e6", "g2_hz = 0")
-                   .replace("G_np_hz = 3.5e6", "G_np_hz = 0")
-                   .replace("G_au_hz = 6e6", "G_au_hz = 0")
-                   + "delta_1_hz = 0\ndelta_2_hz = 0\n")
+    cfg.write_text(DARK_CONFIG)
     out = tmp_path / "delay.csv"
     assert run(["delay", "--config", str(cfg), "--sweep", "f", "--range",
                 "0.1:0.3", "--grid", "21", "--delta", "0",
@@ -339,6 +348,32 @@ def test_sweep_subcommand(config_path, tmp_path):
     assert header[0] == "f_hz"
     assert len(rows) == 42
     assert {row[0] for row in rows} == {0.0, 1.5e6}
+
+
+@pytest.mark.parametrize("args, unreliable", [
+    (["spectrum"], 1),
+    (["sweep", "--set", "f_hz=2.1e6,1e6,2.1e6"], 2),
+], ids=["spectrum", "sweep"])
+def test_manifest_counts_unreliable_delay_points(tmp_path, args, unreliable):
+    # the grid -omega_p, 0, omega_p holds the dark point once per dark curve
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(DARK_CONFIG.replace("\nf_hz = 0\n", "\nf_hz = 2.1e6\n"))
+    out = tmp_path / "dark.csv"
+    assert run(args + ["--config", str(cfg), "--out", str(out),
+                       "--range", "-1:1", "--grid", "3"]) == 0
+    manifest = Path(str(out) + ".manifest.txt").read_text()
+    assert f"\n# spectrum: unreliable_points={unreliable}\n" in manifest
+    assert parse_config(manifest) == parse_config(cfg.read_text())
+
+
+def test_sweep_failing_on_a_later_curve_writes_no_csv(config_path, tmp_path,
+                                                       capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", config_path, "--out", str(out),
+                "--set", "f_hz=0,-1", "--grid", "21"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
 
 
 def test_mode_override(tmp_path):

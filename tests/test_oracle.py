@@ -166,7 +166,8 @@ def test_cross_validate_chunks_match_per_point_reference(fig3c_template):
     for d, cf in zip(grid, closed):
         a1m = solve_fluctuations(build_fluctuation_matrix(p, state, d)).a1m
         expected.append((float(d), abs(cf - a1m) / abs(a1m)))
-    assert report.points == expected
+    assert report.deltas.tolist() == [d for d, _ in expected]
+    assert report.rel_dev.tolist() == [r for _, r in expected]
     assert report.failures == []
     worst = max(range(len(expected)), key=lambda k: expected[k][1])
     assert report.max_rel_dev == expected[worst][1]
@@ -209,8 +210,8 @@ def test_cross_validate_continues_past_failures(decoupled, monkeypatch):
     report = oracle_module.cross_validate(decoupled, state, grid)
     assert [d for d, _ in report.failures] == [poisoned]
     assert "singular" in report.failures[0][1]
-    assert [d for d, _ in report.points] == [float(d) for d in grid
-                                             if d != poisoned]
+    assert report.deltas.tolist() == [float(d) for d in grid
+                                      if d != poisoned]
     assert report.max_rel_dev < 1e-13
 
 
