@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,12 +127,14 @@ REL_RESOLUTION = 1e-4
 SWEEP_BUDGET = 10 ** 6
 
 
-def _tau_at(p: SystemParams, parameter: str, value: float,
-            fixed_delta: float) -> tuple[float, bool]:
-    """Group delay and its reliability at one coupling value."""
-    p2 = replace(p, **{parameter: float(value)})
-    spectrum = evaluate_spectrum(p2, solve_steady_state(p2), fixed_delta)
-    return float(spectrum.tau), bool(spectrum.tau_reliable)
+def _delays(p: SystemParams, parameter: str, values: np.ndarray,
+            fixed_delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group delay and its reliability at every coupling value of a 1-D
+    array, from one steady solve and one ladder pass.  Both read ``p``'s
+    fields through a view that holds the swept coupling as the array."""
+    view = SimpleNamespace(**{**vars(p), parameter: values})
+    spectrum = evaluate_spectrum(view, solve_steady_state(view), fixed_delta)
+    return spectrum.tau, spectrum.tau_reliable
 
 
 def delay_sign_crossings(p: SystemParams, parameter: str, grid,
@@ -140,47 +143,58 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
 
     Each sign change between adjacent grid points is refined by bisection
     to ``REL_RESOLUTION`` relative parameter resolution.  Brackets with an
-    unreliable delay value (|t| ~ 0) are reported, not refined.
+    unreliable delay value (|t| ~ 0) are reported, not refined.  The grid
+    is evaluated in one ladder pass, and every open bracket is bisected in
+    lock-step: one ladder pass per step.
     """
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; "
                           "expected 'f' or 'G_au'")
-    values = [float(v) for v in grid]
-    if any(b <= a for a, b in zip(values, values[1:])):
+    values = np.array([float(v) for v in grid])
+    if not np.all(values[1:] > values[:-1]):
         raise ConfigError("sweep grid must be sorted strictly ascending")
+    if values.size:
+        # a coupling only has to be finite and non-negative, so the records
+        # at the two ends validate every grid value and every midpoint
+        replace(p, **{parameter: float(values[0])})
+        replace(p, **{parameter: float(values[-1])})
 
-    results = [_tau_at(p, parameter, v, fixed_delta) for v in values]
+    tau, reliable = _delays(p, parameter, values, fixed_delta)
+    left, right = tau[:-1], tau[1:]
+    brackets = np.flatnonzero((left != 0.0) & (right != 0.0)
+                              & ((left > 0) != (right > 0)))
+    a, b = values[brackets], values[brackets + 1]
+    positive = tau[brackets] > 0     # the sign kept at the lower end
+    ok = reliable[brackets] & reliable[brackets + 1]
+    reasons = ["" if k else "unreliable delay at bracket point" for k in ok]
+    todo = np.flatnonzero(ok)
+    while True:
+        lo, hi = a[todo], b[todo]
+        todo = todo[(hi - lo) > REL_RESOLUTION * np.maximum(
+            np.maximum(np.abs(lo), np.abs(hi)), 1e-300)]
+        if not todo.size:
+            break
+        mid = 0.5 * (a[todo] + b[todo])
+        tau_mid, ok_mid = _delays(p, parameter, mid, fixed_delta)
+        for j in todo[~ok_mid]:
+            reasons[j] = "unreliable delay during bisection"
+        same = (tau_mid > 0) == positive[todo]
+        a[todo[ok_mid & same]] = mid[ok_mid & same]
+        b[todo[ok_mid & ~same]] = mid[ok_mid & ~same]
+        todo = todo[ok_mid]
 
     crossings: list[Crossing] = []
     invalid: list[tuple[float, float, str]] = []
-    for (lo, (tau_l, ok_l)), (hi, (tau_h, ok_h)) in zip(
-            zip(values, results), zip(values[1:], results[1:])):
-        if tau_l == 0.0 or tau_h == 0.0 or (tau_l > 0) == (tau_h > 0):
-            continue
-        if not (ok_l and ok_h):
-            invalid.append((lo, hi, "unreliable delay at bracket point"))
-            continue
-        direction = "pos->neg" if tau_l > 0 else "neg->pos"
-        tau_lo = tau_l
-        a, b = lo, hi
-        while (b - a) > REL_RESOLUTION * max(abs(a), abs(b), 1e-300):
-            mid = 0.5 * (a + b)
-            tau_mid, ok_mid = _tau_at(p, parameter, mid, fixed_delta)
-            if not ok_mid:
-                invalid.append((a, b, "unreliable delay during bisection"))
-                break
-            if (tau_mid > 0) == (tau_lo > 0):
-                a = mid
-                tau_lo = tau_mid
-            else:
-                b = mid
+    for j, reason in enumerate(reasons):
+        lo, hi = float(a[j]), float(b[j])
+        if reason:
+            invalid.append((lo, hi, reason))
         else:
-            crossings.append(Crossing(parameter=parameter,
-                                      value=0.5 * (a + b),
-                                      direction=direction))
+            crossings.append(Crossing(
+                parameter=parameter, value=0.5 * (lo + hi),
+                direction="pos->neg" if positive[j] else "neg->pos"))
     return CrossingReport(crossings=crossings, invalid=invalid,
-                          values=np.array(values),
-                          tau=np.array([tau for tau, _ in results]))
+                          values=values, tau=tau)
 
 
 def sweep_spectrum(p: SystemParams, sweep_spec, deltas):

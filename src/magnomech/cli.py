@@ -8,6 +8,7 @@ config document, so re-running from it reproduces the same parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -78,7 +79,10 @@ def _set_type(text: str) -> tuple[str, list[float]]:
     return key.strip(), parsed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each parse_args call fills a fresh
+    namespace, so reusing it carries nothing from one run to the next."""
     parser = argparse.ArgumentParser(
         prog="magnomech",
         description="Probe spectroscopy of a two-cavity magnomechanical "

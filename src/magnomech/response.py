@@ -106,7 +106,10 @@ def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
     The group delay tau = Im[(1/t) dt/d(omega_d)] is exact: dt/d(delta) =
     -2 kappa_a d(a1m)/d(delta) comes from the ladder's own derivative, not
     from differences.  Points with |t| below 1e-12 are flagged unreliable:
-    the phase is undefined there.
+    the phase is undefined there.  ``p`` may also be a coupling view that
+    holds ``f`` or ``G_au`` as a 1-D array (see
+    ``analysis.delay_sign_crossings``): at a scalar detuning the fields are
+    then arrays over the couplings.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim > 1 or d.size == 0:

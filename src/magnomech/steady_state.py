@@ -115,13 +115,17 @@ def equations_residual(p: SystemParams, s: SteadyState, Omega) -> np.ndarray:
         ((p.kappa_n2 + 1j * s.delta_n2_eff) * s.n2s,
          1j * p.g2 * s.a1s, -Omega),
     )
-    # one row per equation: |sum|, then |lhs| and every |term|, padded with
-    # |lhs| so that the rows stack and each scale is one max
-    rows = [[abs(lhs + sum(terms)), abs(lhs), *map(abs, terms)]
-            for lhs, *terms in equations]
-    a = np.array([row + row[1:2] * (5 - len(row)) for row in rows])
-    worst = (a[:, 0] / np.maximum(a[:, 1:].max(axis=1), 1e-300)).max(axis=0)
-    return np.fmin(worst, np.inf)  # fmin drops NaN: a non-finite one is inf
+    # each equation's |sum| over its scale, the largest of |lhs| and every
+    # |term|; np.maximum broadcasts a scalar drive against array couplings
+    # and keeps a NaN, which fmin turns into inf
+    worst = 0.0
+    for lhs, *terms in equations:
+        scale = abs(lhs)
+        for term in terms:
+            scale = np.maximum(scale, abs(term))
+        worst = np.maximum(worst, abs(lhs + sum(terms))
+                           / np.maximum(scale, 1e-300))
+    return np.fmin(worst, np.inf)
 
 
 def _back_substitute(p: SystemParams, A: complex, B: complex, Omega,
@@ -145,9 +149,15 @@ def _back_substitute(p: SystemParams, A: complex, B: complex, Omega,
     return SteadyState(**fields, residual=residual)
 
 
+def _at(value, k: int) -> float:
+    return float(np.ravel(value)[k]) if np.ndim(value) else float(value)
+
+
 def _solve(p: SystemParams, B_field) -> SteadyState:
     """The steady state at a numpy scalar drive field or over a 1-D grid,
-    with every point's residual held to the sanity bound."""
+    with every point's residual held to the sanity bound.  ``p`` may hold
+    ``f`` or ``G_au`` as a 1-D array instead (a coupling view); the fields
+    are then arrays over the couplings, at a scalar drive."""
     Omega = rabi_frequency(B_field, p.sphere_diameter, p.spin_density,
                            p.gyromagnetic_ratio)
     A, B = _chain_coefficients(p)
@@ -158,8 +168,10 @@ def _solve(p: SystemParams, B_field) -> SteadyState:
     failing = np.ravel(state.residual > 1e-8)
     if failing.any():
         k = failing.argmax()
+        swept = "".join(f"{name} = {_at(getattr(p, name), k)!r} rad/s, "
+                        for name in ("f", "G_au") if np.ndim(getattr(p, name)))
         raise ConvergenceError(
-            f"B = {float(np.ravel(B_field)[k])!r} T: steady-state "
+            f"{swept}B = {_at(B_field, k)!r} T: steady-state "
             f"back-substitution residual {np.ravel(state.residual)[k]:.3e} "
             "exceeds sanity bound")
     return state

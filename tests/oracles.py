@@ -4,12 +4,16 @@ These deliberately re-derive their answers from the model equations
 rather than calling the code paths they check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import brentq
 
+from magnomech.analysis import REL_RESOLUTION, Crossing, CrossingReport
 from magnomech.oracle import (ORDERING, build_fluctuation_matrix,
                               solve_fluctuations)
 from magnomech.response import evaluate_spectrum
+from magnomech.steady_state import solve_steady_state
 
 
 def steady_equation_residual(p, state, Omega):
@@ -169,3 +173,42 @@ def resolvent_group_delay(p, state, delta):
     dt = -2.0 * p.kappa_a * dx[..., k] / system.eps_d
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.imag(dt / t)
+
+
+def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
+    """The delay sweep one coupling value at a time: a validated record, a
+    steady solve and a scalar ladder pass per grid value, and each sign
+    bracket bisected to the end before the next one starts."""
+    def tau_at(value):
+        p2 = replace(p, **{parameter: float(value)})
+        spectrum = evaluate_spectrum(p2, solve_steady_state(p2), fixed_delta)
+        return float(spectrum.tau), bool(spectrum.tau_reliable)
+
+    values = [float(v) for v in grid]
+    results = [tau_at(v) for v in values]
+    crossings, invalid = [], []
+    for k, (lo, hi) in enumerate(zip(values, values[1:])):
+        (tau_l, ok_l), (tau_h, ok_h) = results[k], results[k + 1]
+        if tau_l == 0.0 or tau_h == 0.0 or (tau_l > 0) == (tau_h > 0):
+            continue
+        if not (ok_l and ok_h):
+            invalid.append((lo, hi, "unreliable delay at bracket point"))
+            continue
+        a, b = lo, hi
+        while (b - a) > REL_RESOLUTION * max(abs(a), abs(b), 1e-300):
+            mid = 0.5 * (a + b)
+            tau_mid, ok_mid = tau_at(mid)
+            if not ok_mid:
+                invalid.append((a, b, "unreliable delay during bisection"))
+                break
+            if (tau_mid > 0) == (tau_l > 0):
+                a = mid
+            else:
+                b = mid
+        else:
+            crossings.append(Crossing(
+                parameter=parameter, value=0.5 * (a + b),
+                direction="pos->neg" if tau_l > 0 else "neg->pos"))
+    return CrossingReport(crossings=crossings, invalid=invalid,
+                          values=np.array(values),
+                          tau=np.array([tau for tau, _ in results]))

@@ -9,6 +9,7 @@ from magnomech.errors import ConfigError
 from magnomech.steady_state import solve_steady_state
 
 from conftest import delta_grid, with_overrides
+from oracles import delay_sign_crossings_pointwise
 
 
 def _lorentzian(x, center, width):
@@ -159,6 +160,66 @@ def test_unreliable_bracket_is_reported(baseline):
     report = delay_sign_crossings(p, "f", grid, 0.0)
     assert report.crossings == []
     assert report.invalid
+
+
+@pytest.mark.parametrize("parameter, overrides, delta", [
+    ("f", {}, 0.0),
+    ("G_au", {"f_hz": 3e6}, 0.5),
+], ids=["f", "G_au"])
+def test_microscopic_sweep_matches_pointwise_loop(micro_baseline, parameter,
+                                                  overrides, delta):
+    # the steady state depends on the swept coupling: one batched solve
+    # must give every point's own steady state
+    p = with_overrides(micro_baseline, **overrides)
+    grid = np.linspace(0.0, p.omega_p, 41)
+    report = delay_sign_crossings(p, parameter, grid, delta * p.omega_p)
+    expected = delay_sign_crossings_pointwise(p, parameter, grid,
+                                              delta * p.omega_p)
+    assert len(report.crossings) == 2
+    assert report.crossings == expected.crossings
+    assert report.invalid == expected.invalid == []
+    np.testing.assert_array_equal(report.values, expected.values)
+    np.testing.assert_allclose(report.tau, expected.tau, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def three_crossings(baseline):
+    """Resonant modes at zero probe detuning: |t| vanishes at one G_au, a
+    pole of the delay between two ordinary sign changes."""
+    p = with_overrides(baseline, g2_hz=0.0, G_np_hz=0.0, g1_hz=0.2e6,
+                       f_hz=5e6, gamma_u_hz=0.2e6, kappa_n1_hz=0.1e6,
+                       delta_1_hz=0.0, delta_2_hz=0.0, delta_u_hz=0.0,
+                       delta_n1_hz=0.0)
+    # t = 0 where 2 kappa_a = kappa_a + g1^2/kappa_n1 + f^2/(kappa_a W6),
+    # W6 = 1 + G_au^2/(kappa_a gamma_u)
+    w6 = p.f ** 2 / (p.kappa_a * (p.kappa_a - p.g1 ** 2 / p.kappa_n1))
+    return p, float(np.sqrt(p.kappa_a * p.gamma_u * (w6 - 1.0)))
+
+
+@pytest.mark.parametrize("dark", ["grid point", "first midpoint"])
+def test_brackets_come_back_in_ascending_order(three_crossings, dark):
+    p, g_dark = three_crossings
+    wp = p.omega_p
+    grid = np.linspace(0.0, 0.3 * wp, 31)
+    near = np.argsort(np.abs(grid - g_dark))[:2]
+    if dark == "grid point":
+        grid[near[0]] = g_dark
+        reason = "unreliable delay at bracket point"
+    else:   # the two grid points around it, moved to be symmetric about it
+        grid[np.sort(near)] = g_dark - 0.004 * wp, g_dark + 0.004 * wp
+        reason = "unreliable delay during bisection"
+    report = delay_sign_crossings(p, "G_au", grid, 0.0)
+    expected = delay_sign_crossings_pointwise(p, "G_au", grid, 0.0)
+    assert report.crossings == expected.crossings
+    assert report.invalid == expected.invalid
+    # the lower crossing needs more steps to its relative resolution, so it
+    # is still open when the higher one is done
+    assert [c.direction for c in report.crossings] == ["pos->neg"] * 2
+    lower, upper = (c.value for c in report.crossings)
+    assert lower < g_dark < upper
+    assert len(report.invalid) == 1
+    lo, hi, why = report.invalid[0]
+    assert lo <= g_dark <= hi and why == reason
 
 
 # --- spectrum sweeps ---------------------------------------------------------

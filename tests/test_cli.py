@@ -155,6 +155,8 @@ def test_negative_range_bound_parses_as_equals_form(args, code, tmp_path,
         assert not spaced.exists() and not equals.exists()
     if args[0] in ("steady", "preset") and "--brange" in args:
         assert "B must be non-negative" in spaced_streams.err
+    if code and ("--sweep" in args or args[1:2] == ["fig8a"]):
+        assert "coupling f must be non-negative" in spaced_streams.err
 
 
 def test_preset_fig3c_census(tmp_path):
@@ -348,6 +350,23 @@ def test_sweep_subcommand(config_path, tmp_path):
     assert header[0] == "f_hz"
     assert len(rows) == 42
     assert {row[0] for row in rows} == {0.0, 1.5e6}
+
+
+def test_consecutive_runs_share_nothing(config_path, tmp_path, capsys):
+    # the parser is built once per process; each run parses afresh
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for out, values in zip(outs, ("0,1.5e6", "2e6")):
+        assert run(["sweep", "--config", config_path, "--out", str(out),
+                    "--set", f"f_hz={values}", "--grid", "5"]) == 0
+    assert {row[0] for row in _read_csv(outs[1])[1]} == {2e6}
+    assert "# run: sweep grid=5 f_hz=2000000\n" in Path(
+        str(outs[1]) + ".manifest.txt").read_text()
+    assert run(["sweep", "--config", config_path, "--out", str(outs[0]),
+                "--grid", "5"]) == 2
+    assert "--set" in capsys.readouterr().err
+    assert run(["sweep", "--config", config_path, "--out", str(outs[0]),
+                "--set", "G_au_hz=1e6", "--grid", "5"]) == 0
+    assert _read_csv(outs[0])[0][0] == "G_au_hz"
 
 
 @pytest.mark.parametrize("args, unreliable", [

@@ -61,9 +61,16 @@ def test_a_block_that_raises_leaves_no_file(tmp_path):
     out = tmp_path / "x.csv"
 
     def blocks():
-        yield (), (np.arange(3.0),)
+        # more than one chunk is on disk before the second block raises
+        yield (), (np.arange(2.0 * CHUNK_ROWS + 3),)
         raise RuntimeError("second curve failed")
 
     with pytest.raises(RuntimeError, match="second curve failed"):
         write_csv(out, ["x"], blocks())
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []   # neither the CSV nor a temporary
+
+    out.write_text("earlier run\n")
+    with pytest.raises(RuntimeError, match="second curve failed"):
+        write_csv(out, ["x"], blocks())
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "earlier run\n"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from magnomech.analysis import delay_sign_crossings
 from magnomech.errors import ConfigError, ConvergenceError
 from magnomech.params import apply_override, rabi_frequency
 from magnomech.presets import AXES, get_preset
@@ -183,6 +184,11 @@ def test_non_convergence_reports_residual(micro):
         solve_steady_state(p)
     with pytest.raises(ConvergenceError, match=r"B = 1\.0 T: .*residual"):
         magnon_number_sweep(p, [0.0, 1.0])
+    # a coupling sweep solves at one drive field: the error names the
+    # coupling value as well
+    with pytest.raises(ConvergenceError,
+                       match=r"^G_au = 1000000\.0 rad/s, B = 1\.0 T: "):
+        delay_sign_crossings(p, "G_au", [1e6, 2e6], p.omega_p)
 
 
 def test_nan_state_has_infinite_residual(micro):
