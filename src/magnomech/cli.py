@@ -332,7 +332,8 @@ def _cmd_validate(args, argv) -> int:
         _write_manifest(args.out, argv, p, [
             f"run: validate grid={grid.size}", summary,
             f"oracle: max_residual={csvio.fmt(report.max_residual)} "
-            f"points={report.deltas.size} failures={len(report.failures)}"])
+            f"points={report.deltas.size} failures={len(report.failures)} "
+            f"cond={csvio.fmt(report.argmax_cond)}"])
     print(summary)
     for d, message in report.failures:
         print(f"solver failure at delta_over_omega_p="

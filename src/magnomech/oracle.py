@@ -8,16 +8,27 @@ expanded around its steady value into a pair of sideband amplitudes,
 and the linearised equations of motion are collected at the two sideband
 frequencies.  The unknown vector interleaves every lower-sideband
 amplitude R_- with the conjugated upper-sideband amplitude (R_+)* of the
-same mode, giving a dense 12x12 complex system with the probe amplitude as
+same mode, giving a dense 12x12 complex system with a unit probe drive as
 the only source term.
 
-The probe detuning enters only the diagonal, M(delta) = M0 - i*delta*I, so
-a detuning grid is one stack of matrices built from one M0 and solved in
-one batched call.
+The probe detuning enters only the diagonal, M(delta) = M0 - i*delta*I.
+M0 is decomposed once, M0 = V diag(lam) V^-1, so every detuning of a grid
+is solved by two 12-vector passes,
+
+    x(delta) = V [(V^-1 b) / (lam - i*delta)],
+
+followed by one step of iterative refinement against the exact matrix,
+x += V [(V^-1 r) / (lam - i*delta)] with r = b - M(delta) x.  The step
+makes the solve backward stable even where V is ill-conditioned, as near
+an exceptional point (Skeel, Math. Comp. 35, 817 (1980)).  Residuals are
+formed with M0's diagonal shifted exactly, offdiag(M0) x + (diag(M0) -
+i*delta) x, never as M0 x - i*delta x, which cancels near delta = omega_p.
+Every point is held to a relative residual of 1e-12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,162 +51,144 @@ ORDERING = (
 )
 
 _IDX = {name: i for i, name in enumerate(ORDERING)}
-_DIAG = np.arange(len(ORDERING))
 
-#: Grid points per stacked solve in cross_validate.  A stack takes about
-#: 2.4 MB; the whole of a 20001-point grid at once would take about 46 MB.
+#: Relative residual every solved point must meet.
+RESIDUAL_BOUND = 1e-12
+
+#: Grid points per pass in cross_validate: bounds the (n, 12) work arrays
+#: and the closed form's ladder temporaries.
 CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class FluctuationSystem:
-    matrix: np.ndarray     # (12, 12), or (n, 12, 12) for n detunings; complex
-    rhs: np.ndarray        # (12,) complex; probe drive in the a1_minus row
-    ordering: tuple[str, ...]
-    delta: float | np.ndarray   # scalar, or (n,); kept for error reporting
-    eps_d: float
+    """M0, the sideband matrix at zero probe detuning, and the probe drive;
+    the matrix at detuning delta is M0 - i*delta*I."""
+
+    matrix: np.ndarray     # (12, 12) complex
+    rhs: np.ndarray        # (12,) complex; unit probe drive, a1_minus row
+
+    @functools.cached_property
+    def _modes(self):
+        """(lam, V^T, V^-T, V^-1 b, off-diagonal of M0 transposed, diagonal
+        of M0), from the one eigendecomposition of this system."""
+        try:
+            lam, v = np.linalg.eig(self.matrix)
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(
+                f"no eigendecomposition of the fluctuation matrix: {exc}"
+            ) from exc
+        diag = np.diagonal(self.matrix)
+        return (lam, v.T, v_inv.T, v_inv @ self.rhs,
+                (self.matrix - np.diag(diag)).T, diag)
 
 
 @dataclass(frozen=True)
 class OracleSolution:
     amplitudes: np.ndarray  # (12,) or (n, 12) complex, keyed by ORDERING
-    a1m: complex | np.ndarray  # a1_minus normalised by eps_d; (n,) if stacked
-    residual: float         # worst relative residual over the stack
+    a1m: complex | np.ndarray  # a1_minus per unit probe drive; (n,) on a grid
+    residual: float         # worst relative residual
+    residuals: np.ndarray   # relative residual at each detuning
 
 
-def build_fluctuation_matrix(p: SystemParams, state: SteadyState, delta,
-                             eps_d: float = 1.0) -> FluctuationSystem:
-    """Assemble the linearised sideband system at probe detuning delta.
+def build_fluctuation_matrix(p: SystemParams,
+                             state: SteadyState) -> FluctuationSystem:
+    """Assemble M0 and the unit probe drive of the linearised sideband system.
 
-    A scalar delta gives one (12, 12) matrix.  A 1-D array of n detunings
-    gives the (n, 12, 12) stack M0 - i*delta*I, with M0 built once.
+    The lower-sideband equations couple the R_- amplitudes through A and
+    the conjugated R_+ amplitudes through B; the conjugated upper-sideband
+    equations are their complex conjugates, so M0 = [[A, B], [B*, A*]] with
+    the two sidebands of each mode interleaved.  B holds the
+    counter-rotating magnon-phonon terms, proportional to g_np * n2s
+    (written below as mu); without the magnon-phonon drive the system
+    splits into two independent 6x6 blocks.
+    """
+    # mu = g_np * n2s reconstructed from the enhanced coupling, so the
+    # assembly works identically in effective and microscopic modes.
+    mu = -1j * state.G_np_eff / _SQRT2
+    a1, a2, n1, n2, ph, u = range(6)     # the modes in ORDERING's order
+    A = np.diag([p.kappa_a + 1j * p.delta_1, p.kappa_a + 1j * p.delta_2,
+                 p.kappa_n1 + 1j * p.delta_n1,
+                 p.kappa_n2 + 1j * state.delta_n2_eff,
+                 p.kappa_p + 1j * p.omega_p, p.gamma_u + 1j * p.delta_u])
+    for j, k, g in ((a1, n1, p.g1), (a1, n2, p.g2), (a1, a2, p.f),
+                    (a2, u, p.G_au)):
+        A[j, k] = A[k, j] = 1j * g
+    A[n2, ph], A[ph, n2] = 1j * mu, 1j * np.conj(mu)
+    B = np.zeros((6, 6), dtype=complex)
+    B[n2, ph] = B[ph, n2] = 1j * mu
 
-    The counter-rotating blocks are proportional to g_np * n2s (written
-    below as mu); they vanish when the magnon-phonon drive is off and the
-    system splits into two independent 6x6 blocks.
+    M = np.empty((12, 12), dtype=complex)
+    M[0::2, 0::2], M[0::2, 1::2] = A, B
+    M[1::2, 0::2], M[1::2, 1::2] = B.conj(), A.conj()
+    b = np.zeros(12, dtype=complex)
+    b[_IDX["a1_minus"]] = 1.0
+    return FluctuationSystem(matrix=M, rhs=b)
+
+
+def _solve(system: FluctuationSystem, d: np.ndarray):
+    """x with M(d) x = b at each detuning of ``d`` (0-d or 1-D), and each
+    point's residual |b - M(d) x| / |b|: a modal solve, one refinement step
+    against the exact matrix, and the residual of the refined x."""
+    lam, v_t, v_inv_t, c, off_t, diag = system._modes
+    b = system.rhs
+    shift = lam - 1j * d[..., None]
+    diag_d = diag - 1j * d[..., None]
+    # a detuning on an undamped mode divides by zero; its residual is NaN
+    # and breaks the bound
+    with np.errstate(all="ignore"):
+        x = (c / shift) @ v_t
+        r = b - (x @ off_t + diag_d * x)
+        x += ((r @ v_inv_t) / shift) @ v_t
+        r = b - (x @ off_t + diag_d * x)
+        residual = np.linalg.norm(r, axis=-1) / np.linalg.norm(b)
+    return x, residual
+
+
+def _cond(system: FluctuationSystem, delta: float) -> float:
+    """2-norm condition number of M(delta), from one 12x12 SVD."""
+    try:
+        return float(np.linalg.cond(
+            system.matrix - 1j * delta * np.eye(len(ORDERING))))
+    except np.linalg.LinAlgError:   # no SVD of a non-finite matrix
+        return math.nan
+
+
+def _over_bound(system: FluctuationSystem, delta: float, residual: float,
+                bound: float) -> str:
+    """The message for one point whose residual breaks the bound."""
+    return (f"solve residual {residual:.3e} exceeds {bound:.0e} at "
+            f"delta = {delta!r} (condition estimate "
+            f"{_cond(system, delta):.3e})")
+
+
+def solve_fluctuations(system: FluctuationSystem, delta,
+                       residual_bound: float | None = RESIDUAL_BOUND
+                       ) -> OracleSolution:
+    """Solve M(delta) x = b at a scalar detuning or over a 1-D grid.
+
+    The bound applies to every point, and the first point that breaks it
+    is named in the error.  With ``residual_bound=None`` nothing is raised
+    and the caller reads ``residuals`` (cross_validate does).
     """
     d = np.asarray(delta, dtype=float)
     if d.ndim > 1 or d.size == 0:
         raise OracleError(
             f"delta must be a scalar or a non-empty 1-D array, got {d.shape}")
-    # mu = g_np * n2s reconstructed from the enhanced coupling, so the
-    # assembly works identically in effective and microscopic modes.
-    mu = -1j * state.G_np_eff / _SQRT2
-    mu_c = np.conj(mu)
-    dn2 = state.delta_n2_eff
-
-    # M0, the matrix at zero probe detuning; delta is subtracted from its
-    # diagonal below
-    M = np.zeros((12, 12), dtype=complex)
-    b = np.zeros(12, dtype=complex)
-    i = _IDX
-
-    # cavity A
-    M[i["a1_minus"], i["a1_minus"]] = p.kappa_a + 1j * p.delta_1
-    M[i["a1_minus"], i["n1_minus"]] = 1j * p.g1
-    M[i["a1_minus"], i["n2_minus"]] = 1j * p.g2
-    M[i["a1_minus"], i["a2_minus"]] = 1j * p.f
-    b[i["a1_minus"]] = eps_d
-
-    M[i["a1_plus_conj"], i["a1_plus_conj"]] = p.kappa_a - 1j * p.delta_1
-    M[i["a1_plus_conj"], i["n1_plus_conj"]] = -1j * p.g1
-    M[i["a1_plus_conj"], i["n2_plus_conj"]] = -1j * p.g2
-    M[i["a1_plus_conj"], i["a2_plus_conj"]] = -1j * p.f
-
-    # cavity B
-    M[i["a2_minus"], i["a2_minus"]] = p.kappa_a + 1j * p.delta_2
-    M[i["a2_minus"], i["a1_minus"]] = 1j * p.f
-    M[i["a2_minus"], i["u_minus"]] = 1j * p.G_au
-
-    M[i["a2_plus_conj"], i["a2_plus_conj"]] = p.kappa_a - 1j * p.delta_2
-    M[i["a2_plus_conj"], i["a1_plus_conj"]] = -1j * p.f
-    M[i["a2_plus_conj"], i["u_plus_conj"]] = -1j * p.G_au
-
-    # passive magnon
-    M[i["n1_minus"], i["n1_minus"]] = p.kappa_n1 + 1j * p.delta_n1
-    M[i["n1_minus"], i["a1_minus"]] = 1j * p.g1
-
-    M[i["n1_plus_conj"], i["n1_plus_conj"]] = p.kappa_n1 - 1j * p.delta_n1
-    M[i["n1_plus_conj"], i["a1_plus_conj"]] = -1j * p.g1
-
-    # driven magnon, coupled to both phonon sidebands
-    M[i["n2_minus"], i["n2_minus"]] = p.kappa_n2 + 1j * dn2
-    M[i["n2_minus"], i["a1_minus"]] = 1j * p.g2
-    M[i["n2_minus"], i["p_minus"]] = 1j * mu
-    M[i["n2_minus"], i["p_plus_conj"]] = 1j * mu
-
-    M[i["n2_plus_conj"], i["n2_plus_conj"]] = p.kappa_n2 - 1j * dn2
-    M[i["n2_plus_conj"], i["a1_plus_conj"]] = -1j * p.g2
-    M[i["n2_plus_conj"], i["p_minus"]] = -1j * mu_c
-    M[i["n2_plus_conj"], i["p_plus_conj"]] = -1j * mu_c
-
-    # phonon, driven by both magnon sidebands
-    M[i["p_minus"], i["p_minus"]] = p.kappa_p + 1j * p.omega_p
-    M[i["p_minus"], i["n2_minus"]] = 1j * mu_c
-    M[i["p_minus"], i["n2_plus_conj"]] = 1j * mu
-
-    M[i["p_plus_conj"], i["p_plus_conj"]] = p.kappa_p - 1j * p.omega_p
-    M[i["p_plus_conj"], i["n2_minus"]] = -1j * mu_c
-    M[i["p_plus_conj"], i["n2_plus_conj"]] = -1j * mu
-
-    # atomic ensemble
-    M[i["u_minus"], i["u_minus"]] = p.gamma_u + 1j * p.delta_u
-    M[i["u_minus"], i["a2_minus"]] = 1j * p.G_au
-
-    M[i["u_plus_conj"], i["u_plus_conj"]] = p.gamma_u - 1j * p.delta_u
-    M[i["u_plus_conj"], i["a2_plus_conj"]] = -1j * p.G_au
-
-    stack = np.broadcast_to(M, d.shape + M.shape).copy()
-    stack[..., _DIAG, _DIAG] -= 1j * d[..., None]
-    return FluctuationSystem(matrix=stack, rhs=b, ordering=ORDERING,
-                             delta=float(d) if d.ndim == 0 else d,
-                             eps_d=float(eps_d))
-
-
-def solve_fluctuations(system: FluctuationSystem,
-                       residual_bound: float = 1e-12) -> OracleSolution:
-    """Dense partial-pivoting solve with a hard residual bound.
-
-    A stacked system is solved in one batched call.  The bound applies to
-    every point, and the first point that breaks it is named in the error.
-    """
-    M, b = system.matrix, system.rhs
-    try:
-        x = np.linalg.solve(
-            M, np.broadcast_to(b[:, None], M.shape[:-1] + (1,)))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        deltas = system.delta
-        where = (f"delta = {deltas!r}" if np.ndim(deltas) == 0 else
-                 f"one of {deltas.size} detunings in "
-                 f"[{float(deltas[0])!r}, {float(deltas[-1])!r}]")
-        raise OracleError(f"singular fluctuation matrix at {where}") from exc
-
-    rhs_norm = float(np.linalg.norm(b))
-    if rhs_norm == 0.0:
-        residual = np.zeros(M.shape[:-2])
-    else:
-        residual = np.linalg.norm((M @ x[..., None])[..., 0] - b,
-                                  axis=-1) / rhs_norm
-    # "not within" also catches a NaN residual
-    bad = np.flatnonzero(~(residual <= residual_bound))
-    if bad.size:
-        k = bad[0]
-        try:
-            cond = float(np.linalg.cond(M.reshape(-1, 12, 12)[k]))
-        except np.linalg.LinAlgError:   # no SVD of a non-finite matrix
-            cond = math.nan
-        raise OracleError(
-            f"solve residual {residual.flat[k]:.3e} exceeds "
-            f"{residual_bound:.0e} at delta = "
-            f"{float(np.atleast_1d(system.delta)[k])!r} "
-            f"(condition estimate {cond:.3e})")
-
-    if system.eps_d == 0.0:
-        raise OracleError("eps_d = 0 leaves no probe source to normalise by")
-    a1m = x[..., _IDX["a1_minus"]] / system.eps_d
+    x, residual = _solve(system, d)
+    if residual_bound is not None:
+        # "not within" also catches a NaN residual
+        bad = np.flatnonzero(~(residual <= residual_bound))
+        if bad.size:
+            k = bad[0]
+            raise OracleError(_over_bound(
+                system, float(d.reshape(-1)[k]), float(residual.flat[k]),
+                residual_bound))
+    a1m = x[..., _IDX["a1_minus"]]
     return OracleSolution(amplitudes=x,
                           a1m=complex(a1m) if a1m.ndim == 0 else a1m,
-                          residual=float(residual.max()))
+                          residual=float(residual.max()), residuals=residual)
 
 
 @dataclass(frozen=True)
@@ -206,42 +199,18 @@ class ValidationReport:
     max_rel_dev: float
     argmax_delta: float
     max_residual: float                    # worst direct-solve residual
-
-
-def _solve_chunk(p: SystemParams, state: SteadyState, chunk: np.ndarray,
-                 failures: list[tuple[float, str]]):
-    """a1m over one chunk of the grid, the mask of solved points and the
-    worst residual.  A failed stacked solve is redone point by point, so
-    each failing detuning is recorded in ``failures`` with its own message.
-    """
-    try:
-        sol = solve_fluctuations(build_fluctuation_matrix(p, state, chunk))
-        return sol.a1m, np.ones(chunk.size, dtype=bool), sol.residual
-    except OracleError:
-        pass
-    a1m = np.zeros(chunk.size, dtype=complex)
-    solved = np.zeros(chunk.size, dtype=bool)
-    worst = 0.0
-    for k, d in enumerate(chunk.tolist()):
-        try:
-            sol = solve_fluctuations(build_fluctuation_matrix(p, state, d))
-        except OracleError as exc:
-            failures.append((d, str(exc)))
-            continue
-        a1m[k], solved[k] = sol.a1m, True
-        worst = max(worst, sol.residual)
-    return a1m, solved, worst
+    argmax_cond: float                     # 2-norm cond of M at argmax_delta
 
 
 def cross_validate(p: SystemParams, state: SteadyState,
                    delta_grid) -> ValidationReport:
     """Compare closed-form a1m against the direct solve over a grid.
 
-    The grid is evaluated and solved in stacks of CHUNK points.  Solver
-    failures are recorded per point and the grid continues.  The closed
-    form comes from evaluate_spectrum, the one response entry point; the
-    output and delay fields it also builds cost about 1 % of a chunk's
-    direct solve.
+    M0 is built and decomposed once; the grid is solved and compared in
+    passes of CHUNK points.  Every point over RESIDUAL_BOUND is recorded in
+    ``failures`` and left out of the comparison, and the grid continues.
+    The closed form comes from evaluate_spectrum, the one response entry
+    point.
     """
     from .response import evaluate_spectrum  # local import: modules stay independent
 
@@ -249,26 +218,34 @@ def cross_validate(p: SystemParams, state: SteadyState,
     if grid.size == 0:
         raise OracleError("delta grid must be non-empty")
 
+    system = build_fluctuation_matrix(p, state)
     failures: list[tuple[float, str]] = []
     deltas, devs = [], []
     max_residual = 0.0
     for start in range(0, grid.size, CHUNK):
         chunk = grid[start:start + CHUNK]
-        a1m, solved, residual = _solve_chunk(p, state, chunk, failures)
-        a1m = a1m[solved]
-        diff = evaluate_spectrum(p, state, chunk).a1m[solved] - a1m
+        sol = solve_fluctuations(system, chunk, residual_bound=None)
+        solved = sol.residuals <= RESIDUAL_BOUND
+        failures += [(d, _over_bound(system, d, r, RESIDUAL_BOUND))
+                     for d, r in zip(chunk[~solved].tolist(),
+                                     sol.residuals[~solved].tolist())]
+        if not solved.any():
+            continue
+        a1m = sol.a1m[solved]
+        diff = evaluate_spectrum(p, state, chunk[solved]).a1m - a1m
         # np.hypot is the C library's hypot, as abs() of one complex is;
         # np.abs can differ from it in the last place
         devs.append(np.hypot(diff.real, diff.imag)
                     / np.hypot(a1m.real, a1m.imag))
         deltas.append(chunk[solved])
-        max_residual = max(max_residual, residual)
+        max_residual = max(max_residual, float(sol.residuals[solved].max()))
+    if not devs:
+        raise OracleError("every grid point failed to solve")
     solved_deltas = np.concatenate(deltas)
     rel = np.concatenate(devs)
-    if rel.size == 0:
-        raise OracleError("every grid point failed to solve")
     k = int(np.argmax(rel))
-    return ValidationReport(deltas=solved_deltas, rel_dev=rel,
-                            failures=failures, max_rel_dev=float(rel[k]),
-                            argmax_delta=float(solved_deltas[k]),
-                            max_residual=max_residual)
+    argmax_delta = float(solved_deltas[k])
+    return ValidationReport(
+        deltas=solved_deltas, rel_dev=rel, failures=failures,
+        max_rel_dev=float(rel[k]), argmax_delta=argmax_delta,
+        max_residual=max_residual, argmax_cond=_cond(system, argmax_delta))

@@ -13,7 +13,7 @@ as exact identities,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .params import SystemParams
 from .steady_state import SteadyState
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Grid points per ladder pass.  The ladder keeps about 40 temporaries of
+#: its grid's length alive at once; a chunk bounds them to about 40 MB.
+CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,27 @@ def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
     the phase is undefined there.  ``p`` may also be a coupling view that
     holds ``f`` or ``G_au`` as a 1-D array (see
     ``analysis.delay_sign_crossings``): at a scalar detuning the fields are
-    then arrays over the couplings.
+    then arrays over the couplings.  A grid longer than CHUNK is evaluated
+    one chunk at a time, with the same values.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim > 1 or d.size == 0:
         raise ResponseError("deltas must be a scalar or a non-empty 1-D grid")
+    if d.size > CHUNK:
+        # near-equal chunks of at least CHUNK/2 points: numpy reuses large
+        # (>= 256 KB) temporaries in place, with loops that round complex
+        # products differently, so a short last chunk would move digits
+        out = {}
+        start = 0
+        for chunk in np.array_split(d, -(-d.size // CHUNK)):
+            part = evaluate_spectrum(p, state, chunk)
+            for f in fields(Spectrum):
+                column = getattr(part, f.name)
+                if f.name not in out:
+                    out[f.name] = np.empty(d.shape, column.dtype)
+                out[f.name][start:start + chunk.size] = column
+            start += chunk.size
+        return Spectrum(**out)
     # numpy warnings are silenced: _ladder raises on a non-finite a1m
     # itself (a NaN detuning warns before that check), and |t| ~ 0 points
     # produce non-finite delays that are flagged, not raised

@@ -10,8 +10,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from magnomech.analysis import REL_RESOLUTION, Crossing, CrossingReport
-from magnomech.oracle import (ORDERING, build_fluctuation_matrix,
-                              solve_fluctuations)
+from magnomech.oracle import ORDERING, build_fluctuation_matrix
 from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import solve_steady_state
 
@@ -159,18 +158,35 @@ def finite_difference_group_delay(p, state, delta, step=1e-7):
         return np.imag(slope / t0)
 
 
+def explicit_matrices(p, state, delta):
+    """The (n, 12, 12) stack M0 - i*delta*I, its diagonal shifted
+    explicitly, and the unit probe drive; delta is a scalar or 1-D."""
+    system = build_fluctuation_matrix(p, state)
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    stack = system.matrix - 1j * d[:, None, None] * np.eye(len(ORDERING))
+    return stack, system.rhs
+
+
+def explicit_solve(p, state, delta):
+    """Sideband amplitudes (n, 12) by partial-pivoting LU on the explicit
+    stack, independent of the production modal solve."""
+    stack, b = explicit_matrices(p, state, delta)
+    return np.linalg.solve(stack, np.broadcast_to(b, stack.shape[:-1]
+                                                  )[..., None])[..., 0]
+
+
 def resolvent_group_delay(p, state, delta):
     """Group delay from the 12x12 sideband system and its exact derivative.
 
     M(delta) = M0 - i*delta*I gives dM/d(delta) = -iI, so the solution x of
     M x = b has dx/d(delta) = i M^-1 x: one more solve with the same matrix.
     """
-    system = build_fluctuation_matrix(p, state, delta)
-    x = solve_fluctuations(system).amplitudes
-    dx = 1j * np.linalg.solve(system.matrix, x[..., None])[..., 0]
+    stack, b = explicit_matrices(p, state, delta)
+    x = np.linalg.solve(stack, np.broadcast_to(b, stack.shape[:-1])[..., None])
+    dx = 1j * np.linalg.solve(stack, x)
     k = ORDERING.index("a1_minus")
-    t = 1.0 - 2.0 * p.kappa_a * x[..., k] / system.eps_d
-    dt = -2.0 * p.kappa_a * dx[..., k] / system.eps_d
+    t = 1.0 - 2.0 * p.kappa_a * x[:, k, 0]
+    dt = -2.0 * p.kappa_a * dx[:, k, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.imag(dt / t)
 

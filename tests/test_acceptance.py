@@ -37,8 +37,9 @@ from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import magnon_number_sweep, solve_steady_state
 
 from conftest import delta_grid, with_overrides
-from oracles import (finite_difference_group_delay, magnon_population_direct,
-                     magnon_population_root, resolvent_group_delay)
+from oracles import (explicit_matrices, finite_difference_group_delay,
+                     magnon_population_direct, magnon_population_root,
+                     resolvent_group_delay)
 
 
 def _curves(preset_name, grid_points=2001, lo=0.0, hi=2.0):
@@ -405,11 +406,19 @@ def test_criterion_9_numerical_hygiene(tmp_path):
 
     p = apply_override(get_preset("fig3c").resolve(), "f_hz", 2.0e6)
     state = solve_steady_state(p)
-    residuals = [solve_fluctuations(
-        build_fluctuation_matrix(p, state, d)).residual
-        for d in delta_grid(p, 501)]
-    print(f"criterion 9: max direct-solve residual {max(residuals):.3e}")
-    assert max(residuals) < 1e-12
+    # the direct solve's residual, measured against the explicit matrices
+    # M0 - i*delta*I, and its deviation from an LU solve of them
+    grid = delta_grid(p, 501)
+    stack, b = explicit_matrices(p, state, grid)
+    x = solve_fluctuations(build_fluctuation_matrix(p, state), grid).amplitudes
+    residual = np.max(np.linalg.norm((stack @ x[..., None])[..., 0] - b,
+                                     axis=-1) / np.linalg.norm(b))
+    lu = np.linalg.solve(stack, np.broadcast_to(b, x.shape)[..., None])[..., 0]
+    deviation = np.max(np.abs(x[:, 0] - lu[:, 0]) / np.abs(lu[:, 0]))
+    print(f"criterion 9: max direct-solve residual {residual:.3e}, "
+          f"deviation from LU {deviation:.3e}")
+    assert residual < 1e-12
+    assert deviation < 1e-13
 
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["preset", "fig7a", "--out", str(first), "--grid", "501"]) == 0

@@ -224,9 +224,11 @@ def test_validate_manifest_reports_oracle(config_path, tmp_path):
     lines = [ln for ln in manifest.splitlines() if ln.startswith("# oracle:")]
     assert len(lines) == 1
     fields = dict(kv.split("=") for kv in lines[0].split()[2:])
-    assert set(fields) == {"max_residual", "points", "failures"}
+    assert set(fields) == {"max_residual", "points", "failures", "cond"}
     assert 0.0 <= float(fields["max_residual"]) < 1e-12
     assert fields["points"] == "101" and fields["failures"] == "0"
+    # the 2-norm condition number of M0 - i*delta*I at the worst point
+    assert 1.0 <= float(fields["cond"]) < 1e12
     # readers take the first max_rel_dev= in a manifest: the oracle line
     # must not repeat it
     assert manifest.count("max_rel_dev=") == 1

@@ -56,6 +56,25 @@ def test_scalar_detuning_equals_its_grid_element(fig3c_template):
         evaluate_spectrum(p, state, grid[:100].reshape(10, 10))
 
 
+def test_long_grid_is_evaluated_in_chunks(fig3c_template, monkeypatch):
+    import magnomech.response as response
+
+    p = with_overrides(fig3c_template, f_hz=1.5e6, G_au_hz=6e6)
+    state = solve_steady_state(p)
+    grid = delta_grid(p, response.CHUNK + 1001)
+    chunked = evaluate_spectrum(p, state, grid)
+    # two near-equal chunks, not CHUNK points and a short rest
+    parts = [evaluate_spectrum(p, state, chunk)
+             for chunk in np.array_split(grid, 2)]
+    # and the same bytes as one pass over the whole grid
+    monkeypatch.setattr(response, "CHUNK", grid.size)
+    one_pass = evaluate_spectrum(p, state, grid)
+    for name in ("delta", "a1m", "eout", "t", "t2", "tau", "tau_reliable"):
+        joined = np.concatenate([getattr(s, name) for s in parts])
+        assert getattr(chunked, name).tobytes() == joined.tobytes(), name
+        assert getattr(one_pass, name).tobytes() == joined.tobytes(), name
+
+
 def test_decoupled_resonant_output(decoupled):
     state = solve_steady_state(decoupled)
     point = evaluate_spectrum(decoupled, state, decoupled.delta_1)
