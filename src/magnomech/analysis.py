@@ -32,6 +32,7 @@ class Window:
 class WindowReport:
     windows: list[Window]
     count: int
+    rejected: int     # flanked minima shallower than the prominence threshold
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class CrossingReport:
     invalid: list[tuple[float, float, str]]   # bracket lo, hi, reason
     values: np.ndarray                        # swept parameter values
     tau: np.ndarray                           # group delay at each value
+    reliable: np.ndarray                      # whether that delay is defined
 
 
 def _turning_points(y: np.ndarray) -> tuple[list[int], list[int]]:
@@ -89,6 +91,7 @@ def find_windows(delta, absorption, prominence: float = 0.1) -> WindowReport:
     maxima, minima = _turning_points(y)
     threshold = prominence * float(np.max(y))
     windows: list[Window] = []
+    rejected = 0
     for m in minima:
         left = [i for i in maxima if i < m]
         right = [i for i in maxima if i > m]
@@ -100,7 +103,10 @@ def find_windows(delta, absorption, prominence: float = 0.1) -> WindowReport:
         if lv - depth >= threshold and rv - depth >= threshold:
             windows.append(Window(center_delta=float(x[m]), depth=depth,
                                   left_peak=lv, right_peak=rv))
-    return WindowReport(windows=windows, count=len(windows))
+        else:
+            rejected += 1
+    return WindowReport(windows=windows, count=len(windows),
+                        rejected=rejected)
 
 
 def fano_asymmetry(window: Window) -> float:
@@ -194,7 +200,7 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
                 parameter=parameter, value=0.5 * (lo + hi),
                 direction="pos->neg" if positive[j] else "neg->pos"))
     return CrossingReport(crossings=crossings, invalid=invalid,
-                          values=values, tau=tau)
+                          values=values, tau=tau, reliable=reliable)
 
 
 def sweep_spectrum(p: SystemParams, sweep_spec, deltas):

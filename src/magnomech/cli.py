@@ -239,9 +239,10 @@ def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
     """Delay table and crossings file of every (tags, CrossingReport)
     curve.  Prints each crossing, and each discarded bracket on stderr;
     a tagged curve's lines start with the preset ``name`` and its tag.
-    Returns the crossing-count note over all curves."""
+    Returns the crossing-count note over all curves, with the number of
+    grid points whose group delay is unreliable."""
     blocks, crossing_blocks = [], []
-    found = discarded = 0
+    found = discarded = unreliable = 0
     for tags, report in curves:
         blocks.append((tags, (report.values, report.values / p.omega_p,
                               report.tau)))
@@ -261,6 +262,7 @@ def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
                   f"{lo:.6e}:{hi:.6e} rad/s: {reason}", file=sys.stderr)
         found += len(report.crossings)
         discarded += len(report.invalid)
+        unreliable += np.count_nonzero(~report.reliable)
     if not tag_names and not found:
         print("no group-delay sign crossings in the swept range")
     csvio.write_csv(out, tag_names + [f"{parameter}_rad_per_s",
@@ -268,7 +270,8 @@ def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
                     blocks)
     csvio.write_csv(str(out) + ".crossings.csv",
                     tag_names + CROSSINGS_HEADER, crossing_blocks)
-    return [f"crossings: found={found} discarded={discarded}"]
+    return [f"crossings: found={found} discarded={discarded} "
+            f"unreliable_points={unreliable}"]
 
 
 def _cmd_delay(args, argv) -> int:
@@ -296,7 +299,8 @@ def _cmd_windows(args, argv) -> int:
     print(f"windows: {report.count}")
     _write_manifest(args.out, argv, p,
                     [f"run: windows grid={grid.size} "
-                     f"prominence={args.prominence:g} count={report.count}"])
+                     f"prominence={args.prominence:g} count={report.count} "
+                     f"rejected={report.rejected}"])
     return 0
 
 

@@ -227,4 +227,5 @@ def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
                 direction="pos->neg" if tau_l > 0 else "neg->pos"))
     return CrossingReport(crossings=crossings, invalid=invalid,
                           values=np.array(values),
-                          tau=np.array([tau for tau, _ in results]))
+                          tau=np.array([tau for tau, _ in results]),
+                          reliable=np.array([ok for _, ok in results]))

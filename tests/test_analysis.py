@@ -25,7 +25,7 @@ def _doublet(n=1001, left=1.0, right=1.0):
 def test_single_window_between_two_peaks():
     x, y = _doublet()
     report = find_windows(x, y)
-    assert report.count == 1
+    assert report.count == 1 and report.rejected == 0
     window = report.windows[0]
     assert window.center_delta == pytest.approx(5.0, abs=0.02)
     assert window.left_peak > window.depth
@@ -53,6 +53,8 @@ def test_prominence_filters_shallow_dips():
     shallow = find_windows(x, y, prominence=0.2)
     assert deep.count > 0
     assert shallow.count == 0
+    # every flanked minimum is either a window or a rejected candidate
+    assert shallow.rejected == deep.count + deep.rejected > 0
 
 
 def test_plateau_extrema_are_collapsed():
@@ -160,6 +162,7 @@ def test_unreliable_bracket_is_reported(baseline):
     report = delay_sign_crossings(p, "f", grid, 0.0)
     assert report.crossings == []
     assert report.invalid
+    assert not report.reliable[np.argmin(np.abs(grid - ka))]
 
 
 @pytest.mark.parametrize("parameter, overrides, delta", [
@@ -180,6 +183,7 @@ def test_microscopic_sweep_matches_pointwise_loop(micro_baseline, parameter,
     assert report.invalid == expected.invalid == []
     np.testing.assert_array_equal(report.values, expected.values)
     np.testing.assert_allclose(report.tau, expected.tau, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(report.reliable, expected.reliable)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +216,7 @@ def test_brackets_come_back_in_ascending_order(three_crossings, dark):
     expected = delay_sign_crossings_pointwise(p, "G_au", grid, 0.0)
     assert report.crossings == expected.crossings
     assert report.invalid == expected.invalid
+    np.testing.assert_array_equal(report.reliable, expected.reliable)
     # the lower crossing needs more steps to its relative resolution, so it
     # is still open when the higher one is done
     assert [c.direction for c in report.crossings] == ["pos->neg"] * 2

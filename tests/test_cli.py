@@ -249,6 +249,16 @@ def test_windows_subcommand(tmp_path):
     assert header == ["center_delta_over_omega_p", "depth", "left_peak",
                       "right_peak", "asymmetry"]
     assert len(rows) == 3
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# run: windows grid=2001 prominence=0.1 count=3 rejected=0" \
+        in manifest
+    # all three minima are shallower than half the maximum
+    assert run(["windows", "--config", str(cfg), "--out", str(out),
+                "--prominence", "0.5"]) == 0
+    assert _read_csv(out)[1] == []
+    manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
+    assert "# run: windows grid=2001 prominence=0.5 count=0 rejected=3" \
+        in manifest
 
 
 def test_steady_subcommand_schema(tmp_path):
@@ -305,7 +315,8 @@ def test_delay_subcommand_with_crossings(tmp_path):
     assert xrows[0][1] == pytest.approx(13.20e6, rel=0.01)
     assert xrows[1][1] == pytest.approx(xrows[0][1] / (2 * np.pi), rel=1e-12)
     manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
-    assert "# crossings: found=1 discarded=0" in manifest
+    assert ("# crossings: found=1 discarded=0 unreliable_points=0"
+            in manifest)
 
 
 # two resonant bare cavities: matched tunnelling (f = kappa_a) nulls |t|
@@ -338,7 +349,9 @@ def test_delay_reports_discarded_brackets(tmp_path, capsys):
         bounds = [float(v) for v in line.split()[4].split(":")]
         assert kappa_a in [pytest.approx(b, rel=1e-6) for b in bounds]
     manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
-    assert "# crossings: found=0 discarded=2" in manifest
+    # the one grid point at f = kappa_a ends both discarded brackets
+    assert ("# crossings: found=0 discarded=2 unreliable_points=1"
+            in manifest)
     assert len(_read_csv(out)[1]) == 21
     assert _read_csv(str(out) + ".crossings.csv")[1] == []
 
@@ -504,7 +517,8 @@ def test_preset_fig8b_crossings_file(tmp_path):
     assert tags == {0.3}
     assert [row[3] for row in xrows] == ["neg->pos", "neg->pos"]
     manifest = Path(str(out) + ".manifest.txt").read_text().splitlines()
-    assert "# crossings: found=1 discarded=0" in manifest
+    assert ("# crossings: found=1 discarded=0 unreliable_points=0"
+            in manifest)
 
 
 def test_every_preset_resolves():
