@@ -44,26 +44,21 @@ def _range_type(text: str) -> tuple[float, float]:
     return lo_f, hi_f
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, valid, expected: str):
+    """An argparse type: ``convert(text)`` if ``valid`` accepts it."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _prominence_type(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a prominence in (0, 1), got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_prominence = _checked(float, lambda v: 0 < v < 1, "a prominence in (0, 1)")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def _set_type(text: str) -> tuple[str, list[float]]:
@@ -119,13 +114,13 @@ def _build_parser() -> argparse.ArgumentParser:
     with_config(sp)
     sp.add_argument("--sweep", choices=["f", "G_au"], required=True,
                     help="coupling to sweep")
-    sp.add_argument("--delta", type=float, default=1.0,
+    sp.add_argument("--delta", type=_finite_float, default=1.0,
                     help="probe detuning in omega_p units (default 1)")
 
     sp = sub.add_parser("windows", help="transparency-window census of the "
                                         "absorption spectrum")
     with_config(sp)
-    sp.add_argument("--prominence", type=_prominence_type, default=0.1,
+    sp.add_argument("--prominence", type=_prominence, default=0.1,
                     help="window prominence relative to the absorption "
                          "maximum (default 0.1)")
 
@@ -306,11 +301,11 @@ def _cmd_windows(args, argv) -> int:
 
 def _cmd_sweep(args, argv) -> int:
     p = _load_params(args)
-    if len(args.sweep_sets) > 2:
-        print("error: at most two --set parameters", file=sys.stderr)
+    keys = [key for key, _ in args.sweep_sets]
+    if len(keys) > 2 or len(set(keys)) < len(keys):
+        print("error: --set takes one or two distinct keys", file=sys.stderr)
         return 2
     grid = _omega_p_grid(p, *_axis(args, "spectrum"))
-    keys = [key for key, _ in args.sweep_sets]
     notes = [f"run: sweep grid={grid.size} " +
              " ".join(f"{k}={','.join(csvio.fmt(v) for v in vs)}"
                       for k, vs in args.sweep_sets)]

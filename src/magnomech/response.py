@@ -1,8 +1,8 @@
 """Closed-form probe response of the coupled six-mode system.
 
 ``evaluate_spectrum`` is the one entry point.  It accepts a scalar probe
-detuning or a 1-D grid of detunings and evaluates the ladder once, in one
-vectorised pass, for the response and its exact slope together.  The probe
+detuning or a 1-D grid and evaluates the ladder once, in vectorised passes
+of at most CHUNK detunings, for the response and its exact slope.  The probe
 amplitude never appears: the intracavity amplitude is stored as the ratio
 a1m = a1-/eps_d, and the output field and transmission are built from it
 as exact identities,
@@ -13,19 +13,15 @@ as exact identities,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResponseError
 from .params import SystemParams
-from .steady_state import SteadyState
+from .steady_state import SteadyState, in_chunks
 
 _SQRT2 = math.sqrt(2.0)
-
-#: Grid points per ladder pass.  The ladder keeps about 40 temporaries of
-#: its grid's length alive at once; a chunk bounds them to about 40 MB.
-CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -88,10 +84,6 @@ def _ladder(p: SystemParams, state: SteadyState, d: np.ndarray):
     R2 = p.g2 ** 2 / (S2 * W5)
     inverse = S1 + R10 + R12 + R2
     a1m = 1.0 / inverse
-    bad = ~np.isfinite(a1m)
-    if np.any(bad):
-        offending = d[bad] if d.ndim else float(d)
-        raise ResponseError(f"singular probe response at delta = {offending!r}")
 
     dW1 = (W1 - 1.0) * (1j / S7 + 1j / S8)
     dW2 = T2g * (1j / S6 + 1j / S9) + T2f * (1j / S6 + 1j / S7 - dW1 / W1)
@@ -104,8 +96,29 @@ def _ladder(p: SystemParams, state: SteadyState, d: np.ndarray):
     return a1m, -d_inverse / inverse ** 2
 
 
+def _pass(p: SystemParams, state: SteadyState, d: np.ndarray) -> Spectrum:
+    """The response at a 0-d detuning or over at most CHUNK of them."""
+    # warnings are silenced: the caller raises on a non-finite a1m (from an
+    # overflowing or NaN detuning), and |t| ~ 0 points are flagged
+    with np.errstate(all="ignore"):
+        # a 0-d detuning (every delay pass) goes in as a numpy scalar: its
+        # terms stay scalar arithmetic, about 2x faster than 1-element ufunc
+        # calls on a 121-coupling view, and match the grid's to 1e-14
+        a1m, slope = _ladder(p, state, d[()])
+        eout = 2.0 * p.kappa_a * a1m
+        t = 1.0 - eout
+        dt = -2.0 * p.kappa_a * slope
+        # np.divide, not '/': a 0-d detuning's t is then divided by the
+        # ufunc loop, as a grid point's is
+        tau = np.imag(np.divide(dt, t))
+        magnitude = np.abs(t)
+        return Spectrum(d, *map(np.asarray, (a1m, eout, t, magnitude ** 2,
+                                             tau, magnitude >= 1e-12)))
+
+
 def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
-    """Response at a scalar detuning or over a 1-D grid, from one ladder pass.
+    """Response at a scalar detuning or over a 1-D grid, in ladder passes of
+    at most CHUNK points, so a detuning gets the same value in every grid.
 
     The group delay tau = Im[(1/t) dt/d(omega_d)] is exact: dt/d(delta) =
     -2 kappa_a d(a1m)/d(delta) comes from the ladder's own derivative, not
@@ -113,42 +126,15 @@ def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
     the phase is undefined there.  ``p`` may also be a coupling view that
     holds ``f`` or ``G_au`` as a 1-D array (see
     ``analysis.delay_sign_crossings``): at a scalar detuning the fields are
-    then arrays over the couplings.  A grid longer than CHUNK is evaluated
-    one chunk at a time, with the same values.
+    then arrays over the couplings.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim > 1 or d.size == 0:
         raise ResponseError("deltas must be a scalar or a non-empty 1-D grid")
-    if d.size > CHUNK:
-        # near-equal chunks of at least CHUNK/2 points: numpy reuses large
-        # (>= 256 KB) temporaries in place, with loops that round complex
-        # products differently, so a short last chunk would move digits
-        out = {}
-        start = 0
-        for chunk in np.array_split(d, -(-d.size // CHUNK)):
-            part = evaluate_spectrum(p, state, chunk)
-            for f in fields(Spectrum):
-                column = getattr(part, f.name)
-                if f.name not in out:
-                    out[f.name] = np.empty(d.shape, column.dtype)
-                out[f.name][start:start + chunk.size] = column
-            start += chunk.size
-        return Spectrum(**out)
-    # numpy warnings are silenced: _ladder raises on a non-finite a1m
-    # itself (a NaN detuning warns before that check), and |t| ~ 0 points
-    # produce non-finite delays that are flagged, not raised
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a scalar goes in as a numpy scalar, not a 0-d array: scalar
-        # arithmetic is several times cheaper than 0-d ufunc calls
-        a1m, slope = _ladder(p, state, d[()])
-        eout = 2.0 * p.kappa_a * a1m
-        t = 1.0 - eout
-        dt = -2.0 * p.kappa_a * slope
-        # np.divide, not '/', so that a scalar t = 0 does not raise
-        # ZeroDivisionError and rounds as a grid point's division does
-        tau = np.imag(np.divide(dt, t))
-    magnitude = np.abs(t)
-    return Spectrum(delta=d, a1m=np.asarray(a1m), eout=np.asarray(eout),
-                    t=np.asarray(t), t2=np.asarray(magnitude ** 2),
-                    tau=np.asarray(tau),
-                    tau_reliable=np.asarray(magnitude >= 1e-12))
+    spectrum = in_chunks(d, lambda chunk: _pass(p, state, chunk))
+    bad = np.broadcast_to(d, spectrum.a1m.shape)[~np.isfinite(spectrum.a1m)]
+    if bad.size:
+        raise ResponseError(
+            f"singular probe response at delta = {float(bad[0])!r} "
+            f"({bad.size} of {spectrum.a1m.size} points)")
+    return spectrum

@@ -17,7 +17,7 @@ has three positive roots the point is bistable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,11 +27,31 @@ from .params import EFFECTIVE, MICROSCOPIC, SystemParams, rabi_frequency
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Points per pass of a steady-state or response grid: complex temporaries
+#: stay under 256 KB, where numpy starts reusing them in place through loops
+#: that round differently, so a point's value never depends on its grid.
+CHUNK = 8192
+
+
+def in_chunks(x: np.ndarray, evaluate):
+    """The dataclass ``evaluate`` gives over a 1-D grid ``x``, from passes of
+    at most CHUNK points that fill preallocated fields; a 0-d ``x`` is one."""
+    if x.size <= CHUNK:
+        return evaluate(x)
+    out = {}
+    for start in range(0, x.size, CHUNK):
+        part = evaluate(x[start:start + CHUNK])
+        for f in fields(part):
+            if not start:
+                out[f.name] = np.empty(x.shape, getattr(part, f.name).dtype)
+            out[f.name][start:start + CHUNK] = getattr(part, f.name)
+    return type(part)(**out)
+
 
 @dataclass(frozen=True)
 class SteadyState:
     """Steady amplitudes of all six modes plus derived response inputs:
-    scalars at one drive field, parallel 1-D arrays over a drive grid."""
+    0-d at one drive field, parallel 1-D arrays over a drive grid."""
 
     a1s: np.ndarray
     a2s: np.ndarray
@@ -116,7 +136,7 @@ def equations_residual(p: SystemParams, s: SteadyState, Omega) -> np.ndarray:
          1j * p.g2 * s.a1s, -Omega),
     )
     # each equation's |sum| over its scale, the largest of |lhs| and every
-    # |term|; np.maximum broadcasts a scalar drive against array couplings
+    # |term|; np.maximum broadcasts a 1-element drive against couplings
     # and keeps a NaN, which fmin turns into inf
     worst = 0.0
     for lhs, *terms in equations:
@@ -141,50 +161,46 @@ def _back_substitute(p: SystemParams, A: complex, B: complex, Omega,
     a2s = -1j * p.f * (p.gamma_u + 1j * p.delta_u) * a1s / A
     us = -1j * p.G_au * a2s / (p.gamma_u + 1j * p.delta_u)
 
-    fields = dict(a1s=a1s, a2s=a2s, n1s=n1s, n2s=n2s, us=us, ps=ps,
-                  delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
-                  G_np_eff=1j * _SQRT2 * p.g_np * n2s,
-                  magnon_number=m, roots=roots)
-    residual = equations_residual(p, SimpleNamespace(**fields), Omega)
-    return SteadyState(**fields, residual=residual)
+    amplitudes = dict(a1s=a1s, a2s=a2s, n1s=n1s, n2s=n2s, us=us, ps=ps,
+                      delta_n2_eff=p.delta_n2 + _phonon_shift(p, m),
+                      G_np_eff=1j * _SQRT2 * p.g_np * n2s,
+                      magnon_number=m, roots=roots)
+    residual = equations_residual(p, SimpleNamespace(**amplitudes), Omega)
+    return SteadyState(**amplitudes, residual=residual)
 
 
-def _at(value, k: int) -> float:
-    return float(np.ravel(value)[k]) if np.ndim(value) else float(value)
-
-
-def _solve(p: SystemParams, B_field) -> SteadyState:
-    """The steady state at a numpy scalar drive field or over a 1-D grid,
-    with every point's residual held to the sanity bound.  ``p`` may hold
-    ``f`` or ``G_au`` as a 1-D array instead (a coupling view); the fields
-    are then arrays over the couplings, at a scalar drive."""
-    Omega = rabi_frequency(B_field, p.sphere_diameter, p.spin_density,
-                           p.gyromagnetic_ratio)
+def _solve(p: SystemParams, B_field: np.ndarray) -> SteadyState:
+    """The steady state over a 1-D array of drive fields in one pass, every
+    residual held to the sanity bound.  In a coupling view ``p`` holds ``f``
+    or ``G_au`` as a 1-D array, and the fields are arrays over it."""
     A, B = _chain_coefficients(p)
-    # an overflowing population or amplitude is caught by the residual check
+    # an overflowing drive, population or amplitude fails the residual check
     with np.errstate(all="ignore"):
+        Omega = rabi_frequency(B_field, p.sphere_diameter, p.spin_density,
+                               p.gyromagnetic_ratio)
         m, roots = _populations(p, A, B, Omega)
         state = _back_substitute(p, A, B, Omega, m, roots)
-    failing = np.ravel(state.residual > 1e-8)
+    failing = state.residual > 1e-8
     if failing.any():
         k = failing.argmax()
-        swept = "".join(f"{name} = {_at(getattr(p, name), k)!r} rad/s, "
+        at = {name: float(np.broadcast_to(v, failing.shape)[k])
+              for name, v in (("f", p.f), ("G_au", p.G_au), ("B", B_field))}
+        swept = "".join(f"{name} = {at[name]!r} rad/s, "
                         for name in ("f", "G_au") if np.ndim(getattr(p, name)))
         raise ConvergenceError(
-            f"{swept}B = {_at(B_field, k)!r} T: steady-state "
-            f"back-substitution residual {np.ravel(state.residual)[k]:.3e} "
-            "exceeds sanity bound")
+            f"{swept}B = {at['B']!r} T: steady-state back-substitution "
+            f"residual {state.residual[k]:.3e} exceeds sanity bound")
     return state
 
 
 def solve_steady_state(p: SystemParams) -> SteadyState:
     """Solve the coupled steady equations self-consistently.
 
-    The drive is the Rabi rate of the configured drive field.  The
-    population is the lowest positive root of the steady cubic; ``roots``
-    tells whether the point is bistable.  The fields are scalars.  In
-    effective mode there is nothing to solve and the direct coupling is
-    embedded as-is.
+    The drive field is solved as a 1-element grid, bitwise as in a sweep.
+    The population is the lowest positive root of the steady cubic;
+    ``roots`` tells whether the point is bistable.  The fields are 0-d (or
+    over the couplings of a coupling view).  In effective mode there is
+    nothing to solve and the direct coupling is embedded as-is.
     """
     if p.coupling_mode == EFFECTIVE:
         # no drive is specified: the amplitudes are not meaningful, no
@@ -193,12 +209,15 @@ def solve_steady_state(p: SystemParams) -> SteadyState:
         return SteadyState(a1s=0j, a2s=0j, n1s=0j, n2s=0j, us=0j, ps=0j,
                            delta_n2_eff=p.delta_n2, G_np_eff=p.G_np_direct,
                            magnon_number=0.0, roots=0, residual=0.0)
-    return _solve(p, np.float64(p.B_field))
+    state = _solve(p, np.full(1, p.B_field))
+    shape = np.broadcast_shapes(np.shape(p.f), np.shape(p.G_au))
+    return SteadyState(*(getattr(state, f.name).reshape(shape)
+                         for f in fields(state)))
 
 
 def magnon_number_sweep(p: SystemParams, B_grid) -> SteadyState:
-    """The steady state at every field value of an ascending 1-D grid, from
-    one batched solve; the fields are parallel arrays over the grid.
+    """The steady state at every field of an ascending 1-D grid, in passes
+    of at most CHUNK fields; the fields are parallel arrays over the grid.
 
     Each point reports the lowest positive population, so an ascending
     sweep jumps where its branch ends, on the first point past a bistable
@@ -212,4 +231,4 @@ def magnon_number_sweep(p: SystemParams, B_grid) -> SteadyState:
         raise ConfigError("B_grid must be a non-empty 1-D grid")
     if np.any(b[1:] <= b[:-1]):
         raise ConfigError("B_grid must be sorted strictly ascending")
-    return _solve(p, b)
+    return in_chunks(b, lambda chunk: _solve(p, chunk))

@@ -74,9 +74,12 @@ def test_non_positive_grid_is_usage_error(subcommand, grid, tmp_path, capsys):
     ["preset", "fig2a", "--range", "0:1"],
     ["steady", "--config", "{micro}", "--range", "0:1"],
     ["steady", "--config", "{micro}", "--grid", "51"],
+    # a second --set of the same key would overwrite the first one's curves
+    ["sweep", "--config", "{micro}", "--set", "f_hz=1e6", "--set",
+     "f_hz=2e6"],
 ], ids=["preset-mode", "preset-prominence", "spectrum-preset-brange",
         "delay-preset-brange", "steady-preset-range", "steady-range",
-        "steady-grid-without-brange"])
+        "steady-grid-without-brange", "sweep-repeated-set"])
 def test_unread_option_is_usage_error(args, tmp_path, capsys):
     cfg = tmp_path / "micro.cfg"
     cfg.write_text(MICROSCOPIC_CONFIG)
@@ -85,6 +88,7 @@ def test_unread_option_is_usage_error(args, tmp_path, capsys):
     assert run(args + ["--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
 
 
 @pytest.mark.parametrize("prominence", ["0", "1.5", "nan", "x"])
@@ -112,11 +116,17 @@ def test_unknown_preset_is_usage_error(tmp_path, capsys):
     assert "fig3c" in capsys.readouterr().err
 
 
-def test_bad_range_is_usage_error(config_path, tmp_path):
+def test_bad_range_is_usage_error(config_path, tmp_path, capsys):
     out = tmp_path / "x.csv"
     for bounds in ("2:1", "nan:1", "0:nan", "-inf:1"):
         assert run(["spectrum", "--config", config_path,
                     "--out", str(out), "--range", bounds]) == 2, bounds
+        assert not out.exists()
+    # a non-finite probe detuning is rejected before anything is computed
+    for delta in ("nan", "inf", "-inf", "x"):
+        assert run(["delay", "--config", config_path, "--sweep", "f",
+                    "--out", str(out), f"--delta={delta}"]) == 2, delta
+        assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -398,6 +408,28 @@ def test_manifest_counts_unreliable_delay_points(tmp_path, args, unreliable):
     manifest = Path(str(out) + ".manifest.txt").read_text()
     assert f"\n# spectrum: unreliable_points={unreliable}\n" in manifest
     assert parse_config(manifest) == parse_config(cfg.read_text())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--config", "{base}", "--range", "0:1e200", "--grid", "3"],
+     "singular probe response at delta = 3.141592653589793e+207 "
+     "(2 of 3 points)"),
+    (["steady", "--config", "{micro}", "--brange", "0:1e300", "--grid", "3"],
+     "B = 5e+299 T: steady-state back-substitution residual inf exceeds "
+     "sanity bound"),
+], ids=["spectrum", "steady"])
+def test_overflow_fails_without_a_warning(args, message, tmp_path, capsys):
+    # an overflow inside a pass is silenced (the tier-1 filter turns a
+    # RuntimeWarning into an error) and reported once, as exit 1
+    base, micro = tmp_path / "base.cfg", tmp_path / "micro.cfg"
+    base.write_text(BASELINE_CONFIG)
+    micro.write_text(MICROSCOPIC_CONFIG)
+    out = tmp_path / "x.csv"
+    args = [a.replace("{base}", str(base)).replace("{micro}", str(micro))
+            for a in args]
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_failing_on_a_later_curve_writes_no_csv(config_path, tmp_path,
