@@ -1,8 +1,7 @@
 """Probe spectroscopy of a two-cavity magnomechanical system."""
 
 from .analysis import (CrossingReport, Window, WindowReport,
-                       delay_sign_crossings, fano_asymmetry, find_windows,
-                       sweep_spectrum)
+                       delay_sign_crossings, fano_asymmetry, find_windows)
 from .errors import (ConfigError, ConvergenceError, OracleError,
                      ResponseError, SimulatorError)
 from .oracle import (FluctuationSystem, OracleSolution, build_fluctuation_matrix,
@@ -22,7 +21,7 @@ __all__ = [
     "evaluate_spectrum", "fano_asymmetry", "find_windows", "get_preset",
     "magnon_number_sweep", "microscopic_params", "parse_config",
     "rabi_frequency", "serialize_config", "solve_fluctuations",
-    "solve_steady_state", "sweep_spectrum",
+    "solve_steady_state",
 ]
 
 __version__ = "0.1.0"

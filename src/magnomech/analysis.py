@@ -15,9 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError
-from .params import SystemParams, apply_override
-from .response import Spectrum, evaluate_spectrum
-from .steady_state import solve_steady_state
+from .params import SystemParams
+from .response import evaluate_spectrum
+from .steady_state import in_chunks, solve_steady_state
 
 
 @dataclass(frozen=True)
@@ -129,17 +129,16 @@ _SWEEPABLE = ("f", "G_au")
 #: relative parameter resolution to which a delay sign change is bisected
 REL_RESOLUTION = 1e-4
 
-#: most response evaluations (combinations x detunings) one sweep may make
-SWEEP_BUDGET = 10 ** 6
-
 
 def _delays(p: SystemParams, parameter: str, values: np.ndarray,
             fixed_delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Group delay and its reliability at every coupling value of a 1-D
-    array, from one steady solve and one ladder pass.  Both read ``p``'s
-    fields through a view that holds the swept coupling as the array."""
-    view = SimpleNamespace(**{**vars(p), parameter: values})
-    spectrum = evaluate_spectrum(view, solve_steady_state(view), fixed_delta)
+    array, from one steady solve and ladder pass per CHUNK values (so a
+    value gets the same bits in any grid), through a view of ``p``."""
+    def evaluate(chunk):
+        view = SimpleNamespace(**{**vars(p), parameter: chunk})
+        return evaluate_spectrum(view, solve_steady_state(view), fixed_delta)
+    spectrum = in_chunks(values, evaluate)
     return spectrum.tau, spectrum.tau_reliable
 
 
@@ -150,8 +149,8 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
     Each sign change between adjacent grid points is refined by bisection
     to ``REL_RESOLUTION`` relative parameter resolution.  Brackets with an
     unreliable delay value (|t| ~ 0) are reported, not refined.  The grid
-    is evaluated in one ladder pass, and every open bracket is bisected in
-    lock-step: one ladder pass per step.
+    is evaluated in ladder passes of at most CHUNK values, and every open
+    bracket is bisected in lock-step: one ladder pass per step.
     """
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; "
@@ -201,43 +200,3 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
                 direction="pos->neg" if positive[j] else "neg->pos"))
     return CrossingReport(crossings=crossings, invalid=invalid,
                           values=values, tau=tau, reliable=reliable)
-
-
-def sweep_spectrum(p: SystemParams, sweep_spec, deltas):
-    """Yield (overrides, Spectrum) over a 1- or 2-parameter Cartesian sweep.
-
-    ``sweep_spec`` is a list of (config_key, values) pairs, values in file
-    units.  The total number of response evaluations is capped by
-    ``SWEEP_BUDGET``.
-    """
-    spec = [(str(key), [float(v) for v in values]) for key, values in sweep_spec]
-    if not 1 <= len(spec) <= 2:
-        raise ConfigError("sweep_spec must name one or two parameters")
-    d = np.asarray(deltas, dtype=float)
-    combos = 1
-    for _, values in spec:
-        combos *= len(values)
-    if combos * d.size > SWEEP_BUDGET:
-        raise ConfigError(
-            f"sweep budget exceeded: {combos} combinations x {d.size} "
-            f"detunings > {SWEEP_BUDGET}")
-
-    if combos == 0:
-        return
-    if len(spec) == 1:
-        key, values = spec[0]
-        for v in values:
-            p2 = apply_override(p, key, v)
-            yield {key: v}, _spectrum_for(p2, d)
-    else:
-        (k1, v1s), (k2, v2s) = spec
-        for v1 in v1s:
-            p1 = apply_override(p, k1, v1)
-            for v2 in v2s:
-                p2 = apply_override(p1, k2, v2)
-                yield {k1: v1, k2: v2}, _spectrum_for(p2, d)
-
-
-def _spectrum_for(p: SystemParams, deltas: np.ndarray) -> Spectrum:
-    state = solve_steady_state(p)
-    return evaluate_spectrum(p, state, deltas)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, csvio, oracle, presets, response, steady_state
-from .errors import SimulatorError
+from .errors import ConfigError, SimulatorError
 from .params import TWO_PI, SystemParams, apply_override, parse_config, serialize_config
 
 SPECTRUM_HEADER = ["delta_over_omega_p", "re_eout", "im_eout",
@@ -28,6 +29,9 @@ WINDOWS_HEADER = ["center_delta_over_omega_p", "depth", "left_peak",
 CROSSINGS_HEADER = ["parameter", "value", "direction"]
 
 ORACLE_TOLERANCE = 1e-9
+
+#: most response evaluations (curves x detunings) of a sweep or preset
+SWEEP_BUDGET = 10 ** 6
 
 
 def _range_type(text: str) -> tuple[float, float]:
@@ -174,40 +178,56 @@ def _write_manifest(out_path: str, argv, p: SystemParams, run_notes) -> None:
                                                      newline="")
 
 
-def _write_spectra(out, p: SystemParams, tag_names, curves) -> list[str]:
-    """Spectrum table of every (tags, Spectrum) curve; returns the note
-    counting unreliable group-delay points over all curves."""
-    curves = list(curves)
+def _curves(p: SystemParams, sets, detunings=0):
+    """(tags, params) of every combination of the (key, values) ``sets``,
+    the last key varying fastest, overridden as each curve is reached; the
+    sweep budget over ``detunings`` per curve is checked first."""
+    keys, value_lists = zip(*sets)
+    combos = math.prod(map(len, value_lists))
+    if combos * detunings > SWEEP_BUDGET:
+        raise ConfigError(f"sweep budget exceeded: {combos} combinations x "
+                          f"{detunings} detunings > {SWEEP_BUDGET}")
+    return ((tags, functools.reduce(lambda q, kv: apply_override(q, *kv),
+                                    zip(keys, tags), p))
+            for tags in itertools.product(*value_lists))
+
+
+def _write_spectra(out, p: SystemParams, axis, tag_names,
+                   curves) -> list[str]:
+    """Spectrum table of every (tags, params) curve over the detuning
+    ``axis`` (omega_p units); returns its unreliable-points note."""
+    grid = _omega_p_grid(p, *axis)
+    spectra = [(tags, response.evaluate_spectrum(
+        q, steady_state.solve_steady_state(q), grid)) for tags, q in curves]
     csvio.write_csv(out, tag_names + SPECTRUM_HEADER, (
         (tags, (s.delta / p.omega_p, s.eout.real, s.eout.imag, s.t.real,
-                s.t.imag, s.t2, s.tau)) for tags, s in curves))
-    unreliable = sum(np.count_nonzero(~s.tau_reliable) for _, s in curves)
+                s.t.imag, s.t2, s.tau)) for tags, s in spectra))
+    unreliable = sum(np.count_nonzero(~s.tau_reliable) for _, s in spectra)
     return [f"spectrum: unreliable_points={unreliable}"]
 
 
 def _cmd_spectrum(args, argv) -> int:
     p = _load_params(args)
     lo, hi, n = _axis(args, "spectrum")
-    state = steady_state.solve_steady_state(p)
-    spectrum = response.evaluate_spectrum(p, state,
-                                          _omega_p_grid(p, lo, hi, n))
     notes = [f"run: spectrum grid={n} range={lo:g}:{hi:g}"]
-    notes += _write_spectra(args.out, p, [], [((), spectrum)])
+    notes += _write_spectra(args.out, p, (lo, hi, n), [], [((), p)])
     _write_manifest(args.out, argv, p, notes)
     return 0
 
 
-def _write_steady(out, b_grid: np.ndarray, tag_names, curves) -> list[str]:
-    """Steady table of every (tags, SteadyState) curve over ``b_grid``;
-    returns the monotone and residual notes over all curves."""
-    curves = list(curves)
+def _write_steady(out, axis, tag_names, curves) -> list[str]:
+    """Steady table of every (tags, params) curve over the drive field
+    ``axis`` (tesla); returns its monotone and residual notes."""
+    b_grid = np.linspace(*axis)
+    states = [(tags, steady_state.magnon_number_sweep(q, b_grid))
+              for tags, q in curves]
     csvio.write_csv(out, tag_names + STEADY_HEADER, (
         (tags, (b_grid, s.magnon_number, s.n2s.real, s.n2s.imag,
-                s.delta_n2_eff, s.roots)) for tags, s in curves))
+                s.delta_n2_eff, s.roots)) for tags, s in states))
     increasing = b_grid.size > 1 and all(
-        bool(np.all(np.diff(s.magnon_number) > 0.0)) for _, s in curves)
-    bistable = sum(np.count_nonzero(s.roots == 3) for _, s in curves)
-    worst = max(np.max(s.residual) for _, s in curves)
+        bool(np.all(np.diff(s.magnon_number) > 0.0)) for _, s in states)
+    bistable = sum(np.count_nonzero(s.roots == 3) for _, s in states)
+    worst = max(np.max(s.residual) for _, s in states)
     return [f"monotone: strictly_increasing={increasing} "
             f"bistable_points={bistable}",
             f"steady: max_residual={csvio.fmt(worst)}"]
@@ -221,24 +241,26 @@ def _cmd_steady(args, argv) -> int:
     # without --brange: the one point at the config's drive field
     lo, hi, n = _axis(args, "steady",
                       None if args.brange else (p.B_field, p.B_field, 1))
-    grid = np.linspace(lo, hi, n)
     notes = [f"run: steady points={n} brange={lo:g}:{hi:g}"]
-    notes += _write_steady(args.out, grid, [], [
-        ((), steady_state.magnon_number_sweep(p, grid))])
+    notes += _write_steady(args.out, (lo, hi, n), [], [((), p)])
     _write_manifest(args.out, argv, p, notes)
     return 0
 
 
-def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
-                  name=None) -> list[str]:
-    """Delay table and crossings file of every (tags, CrossingReport)
-    curve.  Prints each crossing, and each discarded bracket on stderr;
-    a tagged curve's lines start with the preset ``name`` and its tag.
-    Returns the crossing-count note over all curves, with the number of
-    grid points whose group delay is unreliable."""
+def _write_delays(out, p: SystemParams, parameter, axis, delta, tag_names,
+                  curves, name=None) -> list[str]:
+    """Delay table and crossings file of every (tags, params) curve along
+    the ``parameter`` axis at probe detuning ``delta`` (omega_p units).
+    Prints each crossing, and each discarded bracket on stderr, as its
+    curve is done; a tagged curve's lines start with the preset ``name``
+    and its tag.  Returns the note counting crossings, discarded brackets
+    and unreliable grid points."""
+    grid = _omega_p_grid(p, *axis)
     blocks, crossing_blocks = [], []
     found = discarded = unreliable = 0
-    for tags, report in curves:
+    for tags, q in curves:
+        report = analysis.delay_sign_crossings(q, parameter, grid,
+                                               delta * p.omega_p)
         blocks.append((tags, (report.values, report.values / p.omega_p,
                               report.tau)))
         cs = report.crossings     # each crossing in rad/s, then in Hz
@@ -272,11 +294,10 @@ def _write_delays(out, p: SystemParams, parameter, tag_names, curves,
 def _cmd_delay(args, argv) -> int:
     p = _load_params(args)
     lo, hi, n = _axis(args, "delay")
-    report = analysis.delay_sign_crossings(
-        p, args.sweep, _omega_p_grid(p, lo, hi, n), args.delta * p.omega_p)
     notes = [f"run: delay sweep={args.sweep} points={n} "
              f"range={lo:g}:{hi:g} delta={args.delta:g}"]
-    notes += _write_delays(args.out, p, args.sweep, [], [((), report)])
+    notes += _write_delays(args.out, p, args.sweep, (lo, hi, n), args.delta,
+                           [], [((), p)])
     _write_manifest(args.out, argv, p, notes)
     return 0
 
@@ -305,14 +326,12 @@ def _cmd_sweep(args, argv) -> int:
     if len(keys) > 2 or len(set(keys)) < len(keys):
         print("error: --set takes one or two distinct keys", file=sys.stderr)
         return 2
-    grid = _omega_p_grid(p, *_axis(args, "spectrum"))
-    notes = [f"run: sweep grid={grid.size} " +
+    axis = _axis(args, "spectrum")
+    notes = [f"run: sweep grid={axis[2]} " +
              " ".join(f"{k}={','.join(csvio.fmt(v) for v in vs)}"
                       for k, vs in args.sweep_sets)]
-    notes += _write_spectra(args.out, p, keys, (
-        (tuple(overrides[k] for k in keys), spectrum)
-        for overrides, spectrum in analysis.sweep_spectrum(
-            p, args.sweep_sets, grid)))
+    notes += _write_spectra(args.out, p, axis, keys,
+                            _curves(p, args.sweep_sets, axis[2]))
     _write_manifest(args.out, argv, p, notes)
     return 0
 
@@ -352,38 +371,27 @@ def _cmd_preset(args, argv) -> int:
         return 2
     base = preset.resolve()
     key, values = preset.curve_key, preset.curve_values
-    # tunnelling curves are tagged in omega_p units
-    tag_name = "f_over_omega_p" if key == "f_hz" else key
-
-    def tag(value):
-        return (TWO_PI * value / base.omega_p if key == "f_hz" else value,)
-
-    lo, hi, n = _axis(args, preset.kind, preset.axis)
+    lo, hi, n = axis = _axis(args, preset.kind, preset.axis)
     notes = [f"run: preset {args.name} kind={preset.kind}",
              f"curves: {key} = {','.join(csvio.fmt(v) for v in values)}"]
+    # tunnelling curves are tagged in omega_p units
+    tag_names = ["f_over_omega_p" if key == "f_hz" else key]
+    curves = (((TWO_PI * v / base.omega_p if key == "f_hz" else v,), q)
+              for (v,), q in _curves(base, [(key, values)],
+                                     n if preset.kind == "spectrum" else 0))
 
     if preset.kind == "spectrum":
-        spectra = analysis.sweep_spectrum(base, [(key, values)],
-                                          _omega_p_grid(base, lo, hi, n))
         notes.append(f"grid={n} range={lo:g}:{hi:g}")
-        notes += _write_spectra(args.out, base, [tag_name], (
-            (tag(overrides[key]), s) for overrides, s in spectra))
+        notes += _write_spectra(args.out, base, axis, tag_names, curves)
     elif preset.kind == "steady":
-        grid = np.linspace(lo, hi, n)
         notes.append(f"b_points={n} brange={lo:g}:{hi:g}")
-        notes += _write_steady(args.out, grid, [tag_name], (
-            (tag(v), steady_state.magnon_number_sweep(
-                apply_override(base, key, v), grid)) for v in values))
+        notes += _write_steady(args.out, axis, tag_names, curves)
     else:  # delay
-        grid = _omega_p_grid(base, lo, hi, n)
         notes.append(f"sweep={preset.sweep_param} points={n} "
                      f"range={lo:g}:{hi:g} delta={preset.fixed_delta:g}")
-        notes += _write_delays(
-            args.out, base, preset.sweep_param, [tag_name],
-            ((tag(v), analysis.delay_sign_crossings(
-                apply_override(base, key, v), preset.sweep_param, grid,
-                preset.fixed_delta * base.omega_p)) for v in values),
-            args.name)
+        notes += _write_delays(args.out, base, preset.sweep_param, axis,
+                               preset.fixed_delta, tag_names, curves,
+                               args.name)
     _write_manifest(args.out, argv, base, notes)
     return 0
 
@@ -399,14 +407,23 @@ _DISPATCH = {
 }
 
 
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _attach_range_values(argv: list[str]) -> list[str]:
-    """``--range -1:1`` as ``--range=-1:1``: argparse takes a value that
-    starts with '-' for an option unless it is a plain negative number, and
-    no option name contains ':'."""
+    """``--range -1:1`` as ``--range=-1:1`` and ``--delta -1e-3`` as
+    ``--delta=-1e-3``: argparse takes a value that starts with '-' for an
+    option unless it is a plain negative number without an exponent, and no
+    option name contains ':' or reads as a finite number."""
     attached: list[str] = []
     for arg in argv:
-        if (attached[-1:] in (["--range"], ["--brange"])
-                and arg.startswith("-") and ":" in arg):
+        if arg.startswith("-") and (
+                attached[-1:] in (["--range"], ["--brange"]) and ":" in arg
+                or attached[-1:] == ["--delta"] and _is_finite_number(arg)):
             arg = attached.pop() + "=" + arg
         attached.append(arg)
     return attached

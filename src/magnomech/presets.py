@@ -102,16 +102,14 @@ _FANO_DETUNED = (("delta_n1_hz", 8e6), ("delta_n2_hz", 8e6))
 _DELAY_COUPLINGS = (("g1_hz", 0.0), ("g2_hz", 1.2e6), ("G_np_hz", 1.2e6))
 
 
-def _spectrum(name, desc, combo, *, gau_curves=False, extra=(), **kw) -> Preset:
-    if gau_curves:
-        overrides = combo + (("f_hz", 1.5e6),) + extra
-        return Preset(name=name, kind="spectrum", description=desc,
-                      overrides=overrides, curve_key="G_au_hz",
-                      curve_values=_GAU_CURVES, **kw)
-    overrides = combo + (("G_au_hz", 0.0),) + extra
+def _spectrum(name, desc, combo, *, gau_curves=False, extra=(), values=()):
+    """Baseline spectrum: f curves at G_au = 0, or G_au ones at f = 1.5 MHz."""
+    key, default, held = (("G_au_hz", _GAU_CURVES, ("f_hz", 1.5e6))
+                          if gau_curves else
+                          ("f_hz", _F_CURVES, ("G_au_hz", 0.0)))
     return Preset(name=name, kind="spectrum", description=desc,
-                  overrides=overrides, curve_key="f_hz",
-                  curve_values=_F_CURVES, **kw)
+                  overrides=combo + (held,) + extra, curve_key=key,
+                  curve_values=values or default)
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -164,16 +162,12 @@ def _build_presets() -> dict[str, Preset]:
         "from the phonon)", _THREE_WINDOWS, gau_curves=True,
         extra=_FANO_DETUNED)
 
-    presets["fig7a"] = Preset(
-        name="fig7a", kind="spectrum",
-        description="transmission vs tunnelling",
-        overrides=_THREE_WINDOWS + (("G_au_hz", 0.0),),
-        curve_key="f_hz", curve_values=(2.0e6, 2.5e6, 3.0e6, 3.5e6))
-    presets["fig7b"] = Preset(
-        name="fig7b", kind="spectrum",
-        description="transmission vs atom-photon coupling",
-        overrides=_THREE_WINDOWS + (("f_hz", 1.5e6),),
-        curve_key="G_au_hz", curve_values=(0.0, 1.5e6, 3.0e6, 6.0e6))
+    presets["fig7a"] = _spectrum(
+        "fig7a", "transmission vs tunnelling", _THREE_WINDOWS,
+        values=(2.0e6, 2.5e6, 3.0e6, 3.5e6))
+    presets["fig7b"] = _spectrum(
+        "fig7b", "transmission vs atom-photon coupling", _THREE_WINDOWS,
+        gau_curves=True, values=(0.0, 1.5e6, 3.0e6, 6.0e6))
 
     presets["fig8a"] = Preset(
         name="fig8a", kind="delay",

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnomech.analysis import (Window, delay_sign_crossings, fano_asymmetry,
-                                find_windows, sweep_spectrum)
+                                find_windows)
 from magnomech.errors import ConfigError
 from magnomech.steady_state import solve_steady_state
 
-from conftest import delta_grid, with_overrides
+from conftest import with_overrides
 from oracles import delay_sign_crossings_pointwise
 
 
@@ -225,55 +225,6 @@ def test_brackets_come_back_in_ascending_order(three_crossings, dark):
     assert len(report.invalid) == 1
     lo, hi, why = report.invalid[0]
     assert lo <= g_dark <= hi and why == reason
-
-
-# --- spectrum sweeps ---------------------------------------------------------
-
-def test_sweep_spectrum_empty_grid(baseline):
-    out = list(sweep_spectrum(baseline, [("f_hz", [])],
-                              delta_grid(baseline, 11)))
-    assert out == []
-
-
-def test_sweep_spectrum_applies_overrides(baseline):
-    grid = delta_grid(baseline, 101)
-    results = list(sweep_spectrum(baseline,
-                                  [("f_hz", [0.0, 1.5e6])], grid))
-    assert [tags for tags, _ in results] == [{"f_hz": 0.0}, {"f_hz": 1.5e6}]
-    a, b = (spec.eout.real for _, spec in results)
-    assert not np.allclose(a, b)
-
-
-def test_sweep_spectrum_cartesian_order(baseline):
-    grid = delta_grid(baseline, 11)
-    combos = [tags for tags, _ in sweep_spectrum(
-        baseline, [("f_hz", [0.0, 1e6]), ("G_au_hz", [0.0, 6e6])],
-        grid)]
-    assert combos == [{"f_hz": 0.0, "G_au_hz": 0.0},
-                      {"f_hz": 0.0, "G_au_hz": 6e6},
-                      {"f_hz": 1e6, "G_au_hz": 0.0},
-                      {"f_hz": 1e6, "G_au_hz": 6e6}]
-
-
-def test_sweep_spectrum_budget(baseline):
-    grid = delta_grid(baseline, 1001)
-    with pytest.raises(ConfigError, match="budget"):
-        list(sweep_spectrum(baseline,
-                            [("f_hz", list(range(2000)))], grid))
-
-
-def test_sweep_spectrum_unknown_key(baseline):
-    with pytest.raises(ConfigError, match="not overridable"):
-        list(sweep_spectrum(baseline, [("omega_0_hz", [1e9])],
-                            delta_grid(baseline, 11)))
-
-
-def test_sweep_spectrum_parameter_count(baseline):
-    grid = delta_grid(baseline, 11)
-    with pytest.raises(ConfigError, match="one or two"):
-        list(sweep_spectrum(baseline,
-                            [("f_hz", [0.0]), ("G_au_hz", [0.0]),
-                             ("g1_hz", [0.0])], grid))
 
 
 # --- figure-level trends ------------------------------------------------------

@@ -77,9 +77,12 @@ def test_non_positive_grid_is_usage_error(subcommand, grid, tmp_path, capsys):
     # a second --set of the same key would overwrite the first one's curves
     ["sweep", "--config", "{micro}", "--set", "f_hz=1e6", "--set",
      "f_hz=2e6"],
+    ["sweep", "--config", "{micro}", "--set", "f_hz=1e6", "--set",
+     "G_au_hz=1e6", "--set", "g1_hz=1e6"],
 ], ids=["preset-mode", "preset-prominence", "spectrum-preset-brange",
         "delay-preset-brange", "steady-preset-range", "steady-range",
-        "steady-grid-without-brange", "sweep-repeated-set"])
+        "steady-grid-without-brange", "sweep-repeated-set",
+        "sweep-three-keys"])
 def test_unread_option_is_usage_error(args, tmp_path, capsys):
     cfg = tmp_path / "micro.cfg"
     cfg.write_text(MICROSCOPIC_CONFIG)
@@ -143,8 +146,11 @@ def test_bad_range_is_usage_error(config_path, tmp_path, capsys):
     (["preset", "fig3c", "--grid", "21", "--range", "-1:1"], 0),
     (["preset", "fig8a", "--grid", "11", "--range", "-0.1:0.3"], 1),
     (["preset", "fig2a", "--grid", "6", "--brange", "-1e-5:1e-5"], 1),
+    # an exponent makes argparse read a negative number as an option
+    (["delay", "--config", "{base}", "--sweep", "f", "--grid", "11",
+      "--delta", "-1e-3"], 0),
 ], ids=["spectrum", "windows", "sweep", "validate", "delay", "steady",
-        "spectrum-preset", "delay-preset", "steady-preset"])
+        "spectrum-preset", "delay-preset", "steady-preset", "delay-delta"])
 def test_negative_range_bound_parses_as_equals_form(args, code, tmp_path,
                                                      capsys):
     base, micro = tmp_path / "base.cfg", tmp_path / "micro.cfg"
@@ -375,6 +381,63 @@ def test_sweep_subcommand(config_path, tmp_path):
     assert header[0] == "f_hz"
     assert len(rows) == 42
     assert {row[0] for row in rows} == {0.0, 1.5e6}
+
+
+def test_two_key_sweep_is_cartesian_with_overrides_applied(tmp_path):
+    # the last key varies fastest; each curve's rows are those of the
+    # spectrum subcommand on the config with both values written in
+    out = tmp_path / "sweep.csv"
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(BASELINE_CONFIG)
+    assert run(["sweep", "--config", str(cfg), "--out", str(out),
+                "--set", "f_hz=0,1e6", "--set", "G_au_hz=0,6e6",
+                "--grid", "11"]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["f_hz", "G_au_hz", "delta_over_omega_p", "re_eout",
+                      "im_eout", "re_t", "im_t", "t2", "tau_s"]
+    combos = [("0", "0"), ("0", "6e6"), ("1e6", "0"), ("1e6", "6e6")]
+    assert [tuple(row[:2]) for row in rows[::11]] == [
+        (float(f), float(g)) for f, g in combos]
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 4 * 11
+    for k, (f, g) in enumerate(combos):
+        cfg.write_text(
+            BASELINE_CONFIG.replace("\nf_hz = 0\n", f"\nf_hz = {f}\n")
+            .replace("\nG_au_hz = 6e6\n", f"\nG_au_hz = {g}\n"))
+        single = tmp_path / f"single{k}.csv"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(single),
+                    "--grid", "11"]) == 0
+        assert [line.split(",", 2)[2] for line in lines[11 * k:11 * k + 11]
+                ] == single.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("sets", [
+    ["f_hz=" + ",".join(["-1"] + [str(v) for v in range(599)])],
+    ["f_hz=0,-1", "G_au_hz=" + ",".join(str(v) for v in range(300))],
+], ids=["one-key", "two-keys"])
+def test_sweep_budget_is_checked_before_any_override(sets, config_path,
+                                                     tmp_path, capsys):
+    # 600 curves x 2001 detunings: the invalid value is never applied
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", config_path, "--out", str(out)]
+    for s in sets:
+        args += ["--set", s]
+    assert run(args + ["--grid", "2001"]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep budget exceeded: 600 combinations x 2001 detunings "
+        "> 1000000\n")
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
+
+
+def test_sweep_of_a_fixed_key_writes_nothing(config_path, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", config_path, "--out", str(out),
+                "--set", "omega_0_hz=1e9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: key 'omega_0_hz' is not overridable\n")
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
 
 
 def test_consecutive_runs_share_nothing(config_path, tmp_path, capsys):

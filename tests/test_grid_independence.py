@@ -1,6 +1,6 @@
-"""One value per input: every detuning and every drive field gets bitwise
-the same fields in any grid that holds it, at any offset or length, and a
-one-point steady solve gets its sweep's values."""
+"""One value per input: every detuning, every drive field and every swept
+coupling gets bitwise the same values in any grid that holds it, at any
+offset or length, and a one-point steady solve gets its sweep's values."""
 
 from dataclasses import fields
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from magnomech.analysis import delay_sign_crossings
 from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import (CHUNK, magnon_number_sweep,
                                     solve_steady_state)
@@ -75,3 +76,35 @@ def test_field_subgrid_and_point_are_bitwise_their_sweep(sweeps, config,
     point = solve_steady_state(with_overrides(p, B_tesla=grid[start]))
     assert point.magnon_number.shape == ()
     _same_bytes(point, whole, start)
+
+
+@pytest.fixture(scope="module")
+def delays(baseline, micro_baseline):
+    # the group delay at delta = omega_p along a coupling grid (a view that
+    # holds the coupling as an array)
+    out = {}
+    for name, p in (("baseline", baseline), ("microscopic", micro_baseline)):
+        for parameter in ("f", "G_au"):
+            grid = np.linspace(0.0, 0.3 * p.omega_p, N)
+            out[name, parameter] = p, grid, delay_sign_crossings(
+                p, parameter, grid, p.omega_p)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=st.sampled_from(["baseline", "microscopic"]),
+       parameter=st.sampled_from(["f", "G_au"]),
+       start=st.integers(0, N - 1), length=st.integers(1, N))
+@example(config="microscopic", parameter="G_au", start=0, length=1001)
+@example(config="microscopic", parameter="G_au", start=5000, length=1001)
+@example(config="microscopic", parameter="f", start=12000, length=1001)
+@example(config="microscopic", parameter="f", start=CHUNK - 1, length=1)
+def test_coupling_subgrid_delay_is_bitwise_its_grid(delays, config,
+                                                    parameter, start,
+                                                    length):
+    p, grid, whole = delays[config, parameter]
+    part = slice(start, start + length)
+    report = delay_sign_crossings(p, parameter, grid[part], p.omega_p)
+    for name in ("values", "tau", "reliable"):
+        got, want = getattr(report, name), getattr(whole, name)[part]
+        assert got.tobytes() == want.tobytes(), name
