@@ -383,24 +383,37 @@ def test_sweep_subcommand(config_path, tmp_path):
     assert {row[0] for row in rows} == {0.0, 1.5e6}
 
 
-def test_two_key_sweep_is_cartesian_with_overrides_applied(tmp_path):
-    # the last key varies fastest; each curve's rows are those of the
-    # spectrum subcommand on the config with both values written in
+TWO_KEY_COMBOS = [("0", "0"), ("0", "6e6"), ("1e6", "0"), ("1e6", "6e6")]
+
+
+def _two_key_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = tmp_path / "base.cfg"
     cfg.write_text(BASELINE_CONFIG)
     assert run(["sweep", "--config", str(cfg), "--out", str(out),
                 "--set", "f_hz=0,1e6", "--set", "G_au_hz=0,6e6",
                 "--grid", "11"]) == 0
+    return out
+
+
+def test_two_key_sweep_is_cartesian(tmp_path):
+    # the last key varies fastest, one tag column per key
+    out = _two_key_sweep(tmp_path)
     header, rows = _read_csv(out)
     assert header == ["f_hz", "G_au_hz", "delta_over_omega_p", "re_eout",
                       "im_eout", "re_t", "im_t", "t2", "tau_s"]
-    combos = [("0", "0"), ("0", "6e6"), ("1e6", "0"), ("1e6", "6e6")]
     assert [tuple(row[:2]) for row in rows[::11]] == [
-        (float(f), float(g)) for f, g in combos]
-    lines = out.read_text().splitlines()[1:]
+        (float(f), float(g)) for f, g in TWO_KEY_COMBOS]
+    assert len(out.read_text().splitlines()[1:]) == 4 * 11
+
+
+def test_two_key_sweep_applies_overrides(tmp_path):
+    # each curve's rows are those of the spectrum subcommand on the
+    # config with both values written in
+    lines = _two_key_sweep(tmp_path).read_text().splitlines()[1:]
     assert len(lines) == 4 * 11
-    for k, (f, g) in enumerate(combos):
+    cfg = tmp_path / "single.cfg"
+    for k, (f, g) in enumerate(TWO_KEY_COMBOS):
         cfg.write_text(
             BASELINE_CONFIG.replace("\nf_hz = 0\n", f"\nf_hz = {f}\n")
             .replace("\nG_au_hz = 6e6\n", f"\nG_au_hz = {g}\n"))
