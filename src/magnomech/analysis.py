@@ -155,7 +155,9 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; "
                           "expected 'f' or 'G_au'")
-    values = np.array([float(v) for v in grid])
+    values = np.array(grid, dtype=float)
+    if values.ndim != 1:
+        raise ConfigError("sweep grid must be a 1-D array")
     if not np.all(values[1:] > values[:-1]):
         raise ConfigError("sweep grid must be sorted strictly ascending")
     if values.size:

@@ -238,9 +238,10 @@ def _cmd_steady(args, argv) -> int:
         print("error: steady takes --grid only with --brange", file=sys.stderr)
         return 2
     p = _load_params(args)
-    # without --brange: the one point at the config's drive field
-    lo, hi, n = _axis(args, "steady",
-                      None if args.brange else (p.B_field, p.B_field, 1))
+    # without --brange: the one point at the config's drive field; an
+    # effective record has none, and the sweep rejects its mode
+    b = 0.0 if p.B_field is None else p.B_field
+    lo, hi, n = _axis(args, "steady", None if args.brange else (b, b, 1))
     notes = [f"run: steady points={n} brange={lo:g}:{hi:g}"]
     notes += _write_steady(args.out, (lo, hi, n), [], [((), p)])
     _write_manifest(args.out, argv, p, notes)

@@ -214,9 +214,9 @@ def cross_validate(p: SystemParams, state: SteadyState,
     """
     from .response import evaluate_spectrum  # local import: modules stay independent
 
-    grid = np.asarray(delta_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise OracleError("delta grid must be non-empty")
+    grid = np.asarray(delta_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise OracleError("delta grid must be a non-empty 1-D array")
 
     system = build_fluctuation_matrix(p, state)
     failures: list[tuple[float, str]] = []

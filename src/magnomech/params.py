@@ -23,12 +23,19 @@ selected by ``coupling_mode``:
   field (``B_tesla``, ``sphere_diameter_m``, spin density, gyromagnetic
   ratio) determine the enhanced coupling through the driven magnon's
   steady amplitude.
+
+One table maps each config key to its record field and its factor to the
+internal unit; parsing, serializing and overrides all go through it.
+Every rule about a record lives in ``SystemParams``, whatever path built
+it: a config file, ``apply_override`` (``--mode``, ``--set``, presets),
+``dataclasses.replace`` or direct construction.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +46,39 @@ TWO_PI = 2.0 * math.pi
 EFFECTIVE = "effective"
 MICROSCOPIC = "microscopic"
 
-DEFAULT_SPIN_DENSITY = 4.22e27          # 1/m^3, YIG
-DEFAULT_GYRO_HZ_PER_TESLA = 28.0e9      # Hz/T
-DEFAULT_SPHERE_DIAMETER = 250e-6        # m, typical YIG sphere
+# config key -> (SystemParams field, factor to the internal unit), in the
+# order the serializer writes them
+_KEYS = {
+    "omega_p_hz": ("omega_p", TWO_PI),
+    "omega_0_hz": ("omega_0", TWO_PI),
+    "kappa_a_hz": ("kappa_a", TWO_PI),
+    "kappa_p_hz": ("kappa_p", TWO_PI),
+    "kappa_n1_hz": ("kappa_n1", TWO_PI),
+    "kappa_n2_hz": ("kappa_n2", TWO_PI),
+    "gamma_u_hz": ("gamma_u", TWO_PI),
+    "g1_hz": ("g1", TWO_PI),
+    "g2_hz": ("g2", TWO_PI),
+    "f_hz": ("f", TWO_PI),
+    "G_au_hz": ("G_au", TWO_PI),
+    "g_np_hz": ("g_np", TWO_PI),
+    "delta_1_hz": ("delta_1", TWO_PI),
+    "delta_2_hz": ("delta_2", TWO_PI),
+    "delta_u_hz": ("delta_u", TWO_PI),
+    "delta_n1_hz": ("delta_n1", TWO_PI),
+    "delta_n2_hz": ("delta_n2", TWO_PI),
+    "gyro_hz_per_tesla": ("gyromagnetic_ratio", TWO_PI),
+    "G_np_hz": ("G_np_direct", TWO_PI),  # may be complex, e.g. 3.5e6+1e5j
+    "B_tesla": ("B_field", 1.0),
+    "sphere_diameter_m": ("sphere_diameter", 1.0),
+    "spin_density_per_m3": ("spin_density", 1.0),
+}
+
+# keys that only one coupling mode reads; the other mode never does
+_MODE_KEYS = {
+    EFFECTIVE: ("G_np_hz",),
+    MICROSCOPIC: ("g_np_hz", "B_tesla", "sphere_diameter_m",
+                  "spin_density_per_m3", "gyro_hz_per_tesla"),
+}
 
 _RATE_FIELDS = ("kappa_a", "kappa_p", "kappa_n1", "kappa_n2", "gamma_u")
 _COUPLING_FIELDS = ("g1", "g2", "f", "G_au", "g_np")
@@ -51,7 +88,9 @@ _COUPLING_FIELDS = ("g1", "g2", "f", "G_au", "g_np")
 class SystemParams:
     """Validated parameter record, all frequencies angular (rad/s).
 
-    Immutable after construction.
+    Immutable after construction.  Every rule about a record lives here,
+    so a record is checked alike whether a config file, an override or
+    direct construction built it.  ``None`` means "not given".
     """
 
     # phonon frequency and the drive (rotating) frame
@@ -78,19 +117,16 @@ class SystemParams:
     G_np_direct: complex | None = None
     g_np: float = 0.0
     # magnon drive (microscopic mode)
-    B_field: float = 0.0
-    sphere_diameter: float = DEFAULT_SPHERE_DIAMETER
-    spin_density: float = DEFAULT_SPIN_DENSITY
-    gyromagnetic_ratio: float = TWO_PI * DEFAULT_GYRO_HZ_PER_TESLA
+    B_field: float | None = None
+    sphere_diameter: float | None = None
+    spin_density: float = 4.22e27                 # 1/m^3, YIG
+    gyromagnetic_ratio: float = TWO_PI * 28.0e9   # from 28e9 Hz/T
 
     def __post_init__(self):
-        for field_ in fields(self):
-            value = getattr(self, field_.name)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
-                raise ConfigError(f"{field_.name} must be finite")
-            if isinstance(value, complex) and not (
-                    math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ConfigError(f"{field_.name} must be finite")
+        for key, (name, _) in _KEYS.items():
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ConfigError(f"non-finite value for {key!r}")
         for name in _RATE_FIELDS:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"negative or zero rate: {name} must be strictly positive")
@@ -99,46 +135,27 @@ class SystemParams:
                 raise ConfigError(f"coupling {name} must be non-negative")
         for name in ("omega_p", "omega_0", "sphere_diameter",
                      "spin_density", "gyromagnetic_ratio"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.B_field < 0.0:
+        if self.B_field is not None and self.B_field < 0.0:
             raise ConfigError("B_field must be non-negative")
-        if self.coupling_mode not in (EFFECTIVE, MICROSCOPIC):
+        if self.coupling_mode not in _MODE_KEYS:
             raise ConfigError(
                 f"coupling_mode must be '{EFFECTIVE}' or '{MICROSCOPIC}', "
                 f"got {self.coupling_mode!r}")
-        if self.coupling_mode == EFFECTIVE and self.G_np_direct is None:
-            raise ConfigError("coupling_mode=effective requires G_np_direct")
         if self.coupling_mode == MICROSCOPIC and not self.g_np > 0.0:
             raise ConfigError("microscopic mode requires g_np_hz > 0")
+        missing = [key for key in _MODE_KEYS[self.coupling_mode]
+                   if getattr(self, _KEYS[key][0]) is None]
+        if missing:
+            raise ConfigError(f"{self.coupling_mode} mode requires "
+                              f"{', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
 # config document handling
 # ---------------------------------------------------------------------------
-
-# config key -> SystemParams field, for keys that are nu-values in Hz, in
-# the order the serializer writes them
-_HZ_KEYS = {
-    "omega_p_hz": "omega_p",
-    "omega_0_hz": "omega_0",
-    "kappa_a_hz": "kappa_a",
-    "kappa_p_hz": "kappa_p",
-    "kappa_n1_hz": "kappa_n1",
-    "kappa_n2_hz": "kappa_n2",
-    "gamma_u_hz": "gamma_u",
-    "g1_hz": "g1",
-    "g2_hz": "g2",
-    "f_hz": "f",
-    "G_au_hz": "G_au",
-    "g_np_hz": "g_np",
-    "delta_1_hz": "delta_1",
-    "delta_2_hz": "delta_2",
-    "delta_u_hz": "delta_u",
-    "delta_n1_hz": "delta_n1",
-    "delta_n2_hz": "delta_n2",
-    "gyro_hz_per_tesla": "gyromagnetic_ratio",
-}
 
 # absolute mode frequency (input only) -> the detuning key it stands for
 _DELTA_OF_OMEGA = {
@@ -149,17 +166,7 @@ _DELTA_OF_OMEGA = {
     "omega_n2_hz": "delta_n2_hz",
 }
 
-# keys taken verbatim (SI units already)
-_PLAIN_KEYS = {
-    "B_tesla": "B_field",
-    "sphere_diameter_m": "sphere_diameter",
-    "spin_density_per_m3": "spin_density",
-}
-
-_COMPLEX_HZ_KEY = "G_np_hz"  # may carry a complex value, e.g. 3.5e6+1e5j
-
-KNOWN_KEYS = (frozenset(_HZ_KEYS) | frozenset(_PLAIN_KEYS)
-              | frozenset(_DELTA_OF_OMEGA) | {_COMPLEX_HZ_KEY, "coupling_mode"})
+KNOWN_KEYS = frozenset(_KEYS) | frozenset(_DELTA_OF_OMEGA) | {"coupling_mode"}
 
 MANDATORY_KEYS = (
     "omega_p_hz", "omega_0_hz",
@@ -190,34 +197,24 @@ def _split_lines(text: str) -> dict[str, str]:
     return raw
 
 
-def _number(key: str, text: str) -> float:
+def _number(key: str, value) -> float | complex:
+    """``value`` of config ``key`` (text or a number) in file units: a
+    complex for ``G_np_hz``, else a float."""
     try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"invalid number for {key!r}: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite value for {key!r}: {text!r}")
-    return value
-
-
-def _complex_number(key: str, text: str) -> complex:
-    try:
-        value = complex(text)
-    except ValueError:
-        raise ConfigError(f"invalid complex number for {key!r}: {text!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ConfigError(f"non-finite value for {key!r}: {text!r}")
-    return value
+        return (complex if key == "G_np_hz" else float)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid number for {key!r}: {value!r}") from None
 
 
 def parse_config(text: str) -> SystemParams:
     """Parse a flat ``key = value`` document into a validated SystemParams.
 
-    Frequency-like keys are nu-values in Hz and are multiplied by 2*pi.
-    An absolute mode frequency becomes the detuning ``omega_hz -
-    omega_0_hz`` in Hz before that multiplication, so every detuning has
-    an exact Hz value and serializes without loss.  Unspecified detunings
-    default to the resonant operating point delta = omega_p.
+    Each key's value is multiplied by its factor to the internal unit
+    (2*pi for the frequency-like keys).  An absolute mode frequency
+    becomes the detuning ``omega_hz - omega_0_hz`` in Hz before that
+    multiplication, so every detuning has an exact Hz value and serializes
+    without loss.  Unspecified detunings default to the resonant operating
+    point delta = omega_p.
     """
     raw = _split_lines(text)
 
@@ -225,32 +222,18 @@ def parse_config(text: str) -> SystemParams:
     if missing:
         raise ConfigError(f"missing mandatory key(s): {', '.join(missing)}")
 
-    mode = raw["coupling_mode"]
-    if mode == EFFECTIVE and _COMPLEX_HZ_KEY not in raw:
-        raise ConfigError("missing mandatory key(s): G_np_hz (effective mode)")
-    if mode == MICROSCOPIC:
-        missing = [k for k in ("g_np_hz", "B_tesla", "sphere_diameter_m")
-                   if k not in raw]
-        if missing:
-            raise ConfigError("missing mandatory key(s): "
-                              f"{', '.join(missing)} (microscopic mode)")
-
-    fields: dict[str, object] = {"coupling_mode": mode}
-    for key, field in _HZ_KEYS.items():
+    fields: dict[str, object] = {"coupling_mode": raw["coupling_mode"]}
+    for key, (field, factor) in _KEYS.items():
         if key in raw:
-            fields[field] = TWO_PI * _number(key, raw[key])
-    for key, field in _PLAIN_KEYS.items():
-        if key in raw:
-            fields[field] = _number(key, raw[key])
-    if _COMPLEX_HZ_KEY in raw:
-        fields["G_np_direct"] = TWO_PI * _complex_number(
-            _COMPLEX_HZ_KEY, raw[_COMPLEX_HZ_KEY])
+            fields[field] = factor * _number(key, raw[key])
 
     omega_0_hz = _number("omega_0_hz", raw["omega_0_hz"])
     for omega_key, delta_key in _DELTA_OF_OMEGA.items():
-        delta_field = _HZ_KEYS[delta_key]
+        delta_field = _KEYS[delta_key][0]
         if omega_key in raw:
             omega_hz = _number(omega_key, raw[omega_key])
+            if not math.isfinite(omega_hz):
+                raise ConfigError(f"non-finite value for {omega_key!r}")
             delta_hz = omega_hz - omega_0_hz
             tol = 1e-9 * max(abs(omega_hz), abs(omega_0_hz), 1.0)
             if delta_key not in raw:
@@ -265,44 +248,39 @@ def parse_config(text: str) -> SystemParams:
     return SystemParams(**fields)
 
 
-def _preimage_hz(x_angular: float) -> float:
-    """Hz value whose 2*pi multiple reproduces ``x_angular`` bit-exactly.
+def _preimage(x: float, factor: float) -> float:
+    """File value whose ``factor`` multiple reproduces ``x`` bit-exactly.
 
     Division followed by multiplication can be off by one ulp; searching
     the few neighbouring doubles restores exact round-tripping whenever a
     preimage exists (always the case for values that came from a config).
     """
-    if x_angular == 0.0:
-        return 0.0
-    v = x_angular / TWO_PI
-    if v * TWO_PI == x_angular:
-        return v
+    v = x / factor
     up = down = v
-    for _ in range(3):
+    for _ in range(4):      # v itself, then up to 3 ulps either side
+        if up * factor == x:
+            return up
+        if down * factor == x:
+            return down
         up = math.nextafter(up, math.inf)
         down = math.nextafter(down, -math.inf)
-        if up * TWO_PI == x_angular:
-            return up
-        if down * TWO_PI == x_angular:
-            return down
     return v
 
 
 def serialize_config(p: SystemParams) -> str:
-    """Render params back into the config format; parse(serialize(p)) == p."""
+    """Render params back into the config format; parse(serialize(p)) == p.
+
+    A field that is not given (``None``) is left out."""
     lines = [f"coupling_mode = {p.coupling_mode}"]
-    for key, field in _HZ_KEYS.items():
-        lines.append(f"{key} = {_preimage_hz(getattr(p, field)):.17g}")
-    if p.G_np_direct is not None:
-        g = complex(p.G_np_direct)
-        re = _preimage_hz(g.real)
-        if g.imag == 0.0:
-            lines.append(f"{_COMPLEX_HZ_KEY} = {re:.17g}")
-        else:
-            im = _preimage_hz(g.imag)
-            lines.append(f"{_COMPLEX_HZ_KEY} = {re:.17g}{im:+.17g}j")
-    for key, field in _PLAIN_KEYS.items():
-        lines.append(f"{key} = {getattr(p, field):.17g}")
+    for key, (field, factor) in _KEYS.items():
+        value = getattr(p, field)
+        if value is None:
+            continue
+        z = complex(value)
+        text = f"{_preimage(z.real, factor):.17g}"
+        if z.imag:
+            text += f"{_preimage(z.imag, factor):+.17g}j"
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -310,26 +288,23 @@ def serialize_config(p: SystemParams) -> str:
 # overrides (sweeps, presets, CLI)
 # ---------------------------------------------------------------------------
 
-# Hz keys that may be replaced after parsing; the phonon frequency and the
-# drive frame set the units of every sweep and stay fixed
-_SIMPLE_OVERRIDES = frozenset(_HZ_KEYS) - {"omega_p_hz", "omega_0_hz"}
-
-
 def apply_override(p: SystemParams, key: str, value) -> SystemParams:
     """Return params with one config-keyed quantity replaced (file units).
 
     omega_p, omega_0 and the absolute mode frequencies are not
-    overridable: change the config instead.
+    overridable: change the config instead.  Nor is a key that the
+    record's coupling mode never reads.
     """
     if key == "coupling_mode":
         return replace(p, coupling_mode=str(value))
-    if key == _COMPLEX_HZ_KEY:
-        return replace(p, G_np_direct=TWO_PI * complex(value))
-    if key in _SIMPLE_OVERRIDES:
-        return replace(p, **{_HZ_KEYS[key]: TWO_PI * float(value)})
-    if key in _PLAIN_KEYS:
-        return replace(p, **{_PLAIN_KEYS[key]: float(value)})
-    raise ConfigError(f"key {key!r} is not overridable")
+    # the phonon frequency and the drive frame set every sweep's units
+    if key not in _KEYS or key in ("omega_p_hz", "omega_0_hz"):
+        raise ConfigError(f"key {key!r} is not overridable")
+    if any(key in keys for mode, keys in _MODE_KEYS.items()
+           if mode != p.coupling_mode):
+        raise ConfigError(f"{p.coupling_mode} mode never reads {key!r}")
+    field, factor = _KEYS[key]
+    return replace(p, **{field: factor * _number(key, value)})
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ def test_crossing_input_validation(delay_template):
         delay_sign_crossings(delay_template, "f", [wp, wp], wp)
 
 
+def test_crossing_grid_must_be_1d(delay_template):
+    wp = delay_template.omega_p
+    grid = np.linspace(0.0, 0.3 * wp, 6)
+    for bad in (grid.reshape(2, 3), grid[1]):
+        with pytest.raises(ConfigError, match="1-D"):
+            delay_sign_crossings(delay_template, "f", bad, wp)
+
+
 def test_unreliable_bracket_is_reported(baseline):
     # matched tunnelling between two resonant bare cavities nulls |t|;
     # the delay diverges there and the bracket must be marked invalid

@@ -218,6 +218,23 @@ def test_manifest_reproduces_run(config_path, tmp_path):
     assert rerun.read_bytes() == out.read_bytes()
 
 
+def test_old_effective_manifest_still_reruns(config_path, tmp_path):
+    # effective manifests used to list the drive keys an effective record
+    # never reads; such a manifest still reruns to the same bytes
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--config", config_path, "--out", str(out),
+                "--grid", "51"]) == 0
+    manifest = Path(str(out) + ".manifest.txt").read_text()
+    assert "B_tesla" not in manifest and "sphere_diameter_m" not in manifest
+    old = tmp_path / "old.manifest.txt"
+    old.write_text(manifest + "B_tesla = 0\n"
+                   "sphere_diameter_m = 0.00025000000000000001\n")
+    rerun = tmp_path / "rerun.csv"
+    assert run(["spectrum", "--config", str(old), "--out", str(rerun),
+                "--grid", "51"]) == 0
+    assert rerun.read_bytes() == out.read_bytes()
+
+
 def test_validate_reports_and_accepts(config_path, tmp_path, capsys):
     out = tmp_path / "val.csv"
     code = run(["validate", "--config", config_path, "--out", str(out),
@@ -536,6 +553,33 @@ def test_mode_override_is_validated(config_path, tmp_path, capsys):
     assert code == 1
     assert "microscopic mode requires g_np_hz > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mode_override_needs_the_drive(tmp_path, capsys):
+    # a g_np_hz alone does not make the effective baseline microscopic:
+    # the drive field and sphere diameter have no defaults
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(BASELINE_CONFIG + "g_np_hz = 1e-3\n")
+    out = tmp_path / "x.csv"
+    assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                "--grid", "11", "--mode", "microscopic"]) == 1
+    assert capsys.readouterr().err == (
+        "error: microscopic mode requires B_tesla, sphere_diameter_m\n")
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ("microscopic.cfg", "G_np_hz=1e6,5e6"),
+    ("baseline.cfg", "B_tesla=1e-5,5e-5"),
+], ids=["microscopic", "effective"])
+def test_sweep_of_a_key_the_mode_never_reads(config, key, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", str(DOCS / config), "--out", str(out),
+                "--set", key, "--grid", "5"]) == 1
+    assert "mode never reads" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.txt").exists()
 
 
 _DELAY_CONFIG = (BASELINE_CONFIG.replace("g1_hz = 1.5e6", "g1_hz = 0")

@@ -257,3 +257,11 @@ def test_cross_validate_full_grid(fig3c_template):
     report = cross_validate(p, state, delta_grid(p, 501))
     assert report.max_rel_dev < 1e-9
     assert report.failures == []
+
+
+def test_cross_validate_rejects_a_grid_that_is_not_1d(decoupled):
+    state = solve_steady_state(decoupled)
+    grid = np.linspace(0.0, 2.0 * decoupled.omega_p, 6)
+    for bad in (grid.reshape(2, 3), grid[0]):
+        with pytest.raises(OracleError, match="1-D"):
+            cross_validate(decoupled, state, bad)

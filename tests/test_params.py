@@ -170,6 +170,69 @@ def test_mode_requirements_hold_on_every_path(baseline):
     with pytest.raises(ConfigError, match="coupling_mode"):
         parse_config(MICRO.replace("coupling_mode = microscopic",
                                    "coupling_mode = both"))
+    # the drive keys: a microscopic record without a drive field or a
+    # sphere diameter is refused however it is reached
+    drive = "microscopic mode requires B_tesla, sphere_diameter_m"
+    coupled = replace(baseline, g_np=micro.g_np)
+    with pytest.raises(ConfigError, match=drive):
+        parse_config(MICRO.replace("B_tesla = 3.3e-5\n", "")
+                     .replace("sphere_diameter_m = 250e-6\n", ""))
+    with pytest.raises(ConfigError, match=drive):
+        apply_override(coupled, "coupling_mode", "microscopic")
+    with pytest.raises(ConfigError, match=drive):
+        replace(coupled, coupling_mode="microscopic")
+    with pytest.raises(ConfigError, match=drive):
+        SystemParams(**{**_fields(micro), "B_field": None,
+                        "sphere_diameter": None})
+    for key, field in (("B_tesla", "B_field"),
+                       ("sphere_diameter_m", "sphere_diameter")):
+        message = f"microscopic mode requires {key}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MICRO.replace(f"{key} = ", "# "))
+        with pytest.raises(ConfigError, match=message):
+            replace(micro, **{field: None})
+    # and an effective record needs its direct coupling
+    with pytest.raises(ConfigError, match="effective mode requires G_np_hz"):
+        apply_override(micro, "coupling_mode", "effective")
+    with pytest.raises(ConfigError, match="effective mode requires G_np_hz"):
+        replace(baseline, G_np_direct=None)
+
+
+@pytest.mark.parametrize("mode, key", [
+    ("microscopic", "G_np_hz"),
+    ("effective", "g_np_hz"),
+    ("effective", "B_tesla"),
+    ("effective", "sphere_diameter_m"),
+    ("effective", "spin_density_per_m3"),
+    ("effective", "gyro_hz_per_tesla"),
+])
+def test_override_of_a_key_the_mode_never_reads(baseline, mode, key):
+    p = parse_config(MICRO) if mode == "microscopic" else baseline
+    with pytest.raises(ConfigError, match=f"{mode} mode never reads '{key}'"):
+        apply_override(p, key, 1.0)
+
+
+def test_override_value_must_be_a_number(baseline):
+    with pytest.raises(ConfigError, match="invalid number for 'f_hz': 'x'"):
+        apply_override(baseline, "f_hz", "x")
+    with pytest.raises(ConfigError, match="invalid number for 'G_np_hz'"):
+        apply_override(baseline, "G_np_hz", "3.5e6+j1")
+
+
+def test_non_finite_value_is_named_alike_on_every_path(baseline):
+    message = "non-finite value for 'g1_hz'"
+    for build in (
+            lambda: parse_config(SECTION3.replace("g1_hz = 1.5e6",
+                                                  "g1_hz = inf")),
+            lambda: apply_override(baseline, "g1_hz", math.inf),
+            lambda: replace(baseline, g1=math.inf),
+            lambda: SystemParams(**{**_fields(baseline), "g1": math.inf})):
+        with pytest.raises(ConfigError, match=message):
+            build()
+    with pytest.raises(ConfigError, match="non-finite value for 'G_np_hz'"):
+        apply_override(baseline, "G_np_hz", complex(1.0, math.nan))
+    with pytest.raises(ConfigError, match="non-finite value for 'omega_u_hz'"):
+        parse_config(SECTION3 + "omega_u_hz = nan\ndelta_u_hz = 1e7\n")
 
 
 def test_roundtrip_baselines():
