@@ -51,22 +51,14 @@ class CrossingReport:
     reliable: np.ndarray                      # whether that delay is defined
 
 
-def _turning_points(y: np.ndarray) -> tuple[list[int], list[int]]:
+def _turning_points(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior maxima/minima indices; a plateau reports its midpoint."""
     dy = np.diff(y)
-    edges = np.nonzero(dy)[0]
-    maxima: list[int] = []
-    minima: list[int] = []
-    for k in range(1, edges.size):
-        prev_rising = dy[edges[k - 1]] > 0
-        next_rising = dy[edges[k]] > 0
-        if prev_rising == next_rising:
-            continue
-        lo = edges[k - 1] + 1
-        hi = edges[k]
-        center = (lo + hi) // 2
-        (maxima if prev_rising else minima).append(center)
-    return maxima, minima
+    edges = np.flatnonzero(dy)
+    rising = dy[edges] > 0
+    turn = np.flatnonzero(rising[1:] != rising[:-1])
+    center = (edges[turn] + 1 + edges[turn + 1]) // 2
+    return center[rising[turn]], center[~rising[turn]]
 
 
 def find_windows(delta, absorption, prominence: float = 0.1) -> WindowReport:
@@ -90,23 +82,16 @@ def find_windows(delta, absorption, prominence: float = 0.1) -> WindowReport:
 
     maxima, minima = _turning_points(y)
     threshold = prominence * float(np.max(y))
-    windows: list[Window] = []
-    rejected = 0
-    for m in minima:
-        left = [i for i in maxima if i < m]
-        right = [i for i in maxima if i > m]
-        if not left or not right:
-            continue
-        lv = float(y[left[-1]])
-        rv = float(y[right[0]])
-        depth = float(y[m])
-        if lv - depth >= threshold and rv - depth >= threshold:
-            windows.append(Window(center_delta=float(x[m]), depth=depth,
-                                  left_peak=lv, right_peak=rv))
-        else:
-            rejected += 1
+    # the nearest maximum on each side of every minimum that has both
+    right = np.searchsorted(maxima, minima)
+    flanked = (right > 0) & (right < maxima.size)
+    m, right = minima[flanked], right[flanked]
+    lv, rv, depth = y[maxima[right - 1]], y[maxima[right]], y[m]
+    deep = (lv - depth >= threshold) & (rv - depth >= threshold)
+    windows = [Window(*fields) for fields in zip(
+        *(a[deep].tolist() for a in (x[m], depth, lv, rv)))]
     return WindowReport(windows=windows, count=len(windows),
-                        rejected=rejected)
+                        rejected=m.size - len(windows))
 
 
 def fano_asymmetry(window: Window) -> float:

@@ -93,9 +93,9 @@ def _layouts(width: int, ncols: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _tables():
-    """Per ``j``: ``10**j = (hi + lo) * 2**e`` with ``hi`` near [0.5, 1),
-    ``hi`` split in halves for Dekker's product, and ``2**e`` as two
-    factors that cannot overflow.  Per exponent ``k``: the layout key of
+    """Per ``j``, one column of six factors: ``10**j = (hi + lo) * 2**e``
+    with ``hi`` near [0.5, 1), ``2**e`` as two factors that cannot overflow
+    and ``hi`` split in halves for Dekker's product.  Per ``k``: the key of
     its form at 17 digits.  Per group of four digits: its ASCII bytes as
     one uint32 and its count of trailing zeros.  Exact integer arithmetic
     only (``int / int`` is correctly rounded)."""
@@ -122,26 +122,26 @@ def _tables():
     k = np.arange(_K_MIN, 17 - _J_MIN)
     form = np.where((k >= -4) & (k <= 16), k + 4,
                     21 + (np.abs(k) >= 100) + 2 * (k < 0))
-    return (np.ldexp(1.0, exp // 2), np.ldexp(1.0, exp - exp // 2), hi,
-            hi_hi, hi - hi_hi, np.array(lo), form * 17 + 16, quads, zeros)
+    factors = np.stack([np.ldexp(1.0, exp // 2), np.ldexp(1.0, exp - exp // 2),
+                        hi, hi_hi, hi - hi_hi, np.array(lo)])
+    return factors, form * 17 + 16, quads, zeros
 
 
 def _digits(a: np.ndarray):
     """The 17 significant digits of every positive finite ``a``, as an
     integer ``n`` in [1e16, 1e17), its decimal exponent ``k``, and the
     mask of values whose ``n`` the error bound proves."""
-    scale1, scale2, hi, hi_hi, hi_lo, lo = _tables()[:6]
     k = np.floor(np.log10(a)).astype(np.intp)
-    j = 16 - _J_MIN - k
+    scale1, scale2, hi, h1, h2, lo = np.take(_tables()[0], 16 - _J_MIN - k,
+                                             axis=1)
     # a * 10**(16 - k) = x * (hi + lo), x = a * 2**e exact, about 1e16
-    x = a * np.take(scale1, j) * np.take(scale2, j)
+    x = a * scale1 * scale2
     t = x * _SPLIT
     x_hi = t - (t - x)
     x_lo = x - x_hi
-    h1, h2 = np.take(hi_hi, j), np.take(hi_lo, j)
-    p = x * np.take(hi, j)    # p + err = x * hi exactly; p is an integer
+    p = x * hi    # p + err = x * hi exactly; p is an integer
     err = ((x_hi * h1 - p) + x_hi * h2 + x_lo * h1) + x_lo * h2
-    rest = err + x * np.take(lo, j)     # absolute error below 1e-14
+    rest = err + x * lo     # absolute error below 1e-14
     whole = np.floor(rest)
     frac = rest - whole
     n = p.astype(np.int64) + whole.astype(np.int64)     # floor of the value
@@ -157,26 +157,26 @@ def _format_values(v: np.ndarray, words: np.ndarray):
     ``words[:6]`` (shape ``(words,) + v.shape``); return the layout keys
     and the mask of finite nonzero values whose digits the error bound
     does not prove."""
-    form_key, quads, zeros = _tables()[6:]
+    form_key, quads, zeros = _tables()[1:]
     regular = np.isfinite(v) & (v != 0.0)
     n, k, ok = _digits(np.where(regular, np.abs(v), 1.0))
     ok &= regular
 
-    # six groups of four digits: d0, d1..d16 in four, the exponent's size;
-    # below 1e9 the floats are exact and 1e-8, 1e-4 round up, so floor
-    # of a product is the integer quotient
+    # six groups of four digits: d0, d1..d16 in four, the exponent's size
+    # (an integer quotient and a product: numpy's divmod is slower)
+    index = np.empty((6,) + v.shape, dtype=np.intp)
     top = n // 10 ** 8
-    groups = np.empty((6,) + v.shape)
-    groups[0] = np.floor(top * 1e-8)
-    eights = np.stack([top - groups[0] * 1e8, n - top * 10 ** 8])
-    groups[1:5:2] = np.floor(eights * 1e-4)
-    groups[2:5:2] = eights - groups[1:5:2] * 1e4
-    groups[5] = np.abs(k)
-    index = groups.astype(np.intp)
+    index[0] = top // 10 ** 8
+    eights = np.stack([top - index[0] * 10 ** 8, n - top * 10 ** 8])
+    index[1:5:2] = eights // 10 ** 4
+    index[2:5:2] = eights - index[1:5:2] * 10 ** 4
+    index[5] = np.abs(k)
     words[:6] = np.take(quads, index)
-    run = np.zeros(v.shape, dtype=np.uint8)   # trailing zeros of d1..d16
-    for tz in np.take(zeros, index[1:5]):
-        run = tz + (tz == 4) * run
+    # trailing zeros of d1..d16, from the last group back: a group adds
+    # its own only when every group after it is all zeros
+    run = np.take(zeros, index[4])
+    for g in (3, 2, 1):
+        run += (run == 4 * (4 - g)) * np.take(zeros, index[g])
     key = np.take(form_key, k - _K_MIN) - run + np.signbit(v) * (_FORMS * 17)
     odd = ~regular
     if odd.any():

@@ -41,33 +41,34 @@ class Spectrum:
 def _ladder(p: SystemParams, state: SteadyState, d: np.ndarray):
     """a1m and its exact d(a1m)/d(delta) at detuning ``d``, in one pass.
 
-    The twelve mode denominators S1..S12 and the nested corrections W1..W6
-    are evaluated once.  ``GA``, the drive-enhanced magnon-phonon coupling
-    scaled by 1/sqrt(2), enters only through its squared magnitude
-    (GA * conj(GA)): the complex square would detach this closed form from
-    the linearised equations whenever the steady magnon amplitude carries
-    a phase.
+    Each denominator S1..S12 is (kappa +- i delta) - i d, built in one complex
+    pass; the corrections W1..W6 and every reused i/S are evaluated once.
+    ``GA``, the drive-enhanced magnon-phonon coupling over sqrt(2), enters
+    only through GA * conj(GA): the complex square would detach the closed form
+    from the linearised equations when the steady magnon amplitude has a phase.
 
     Every denominator has dS/d(delta) = -i and X = -2i omega_p / S4, so a
     ratio term T (of a correction W = 1 + T, or of the inverse response)
     has dT/T = the sum of i/S over its S factors below the line, minus
     dW/W over its W factors there, plus i/S4 when X is above the line.
     """
-    dn2 = state.delta_n2_eff
+    # a 0-d magnon shift goes in as a numpy scalar, so a 0-d detuning's S2
+    # and S5 keep Python's complex division (numpy's moves tau by an ulp)
+    dn2, jd = np.asarray(state.delta_n2_eff)[()], 1j * d
 
-    S1 = p.kappa_a + 1j * (p.delta_1 - d)
-    S2 = p.kappa_n2 + 1j * (dn2 - d)
-    S3 = p.kappa_p + 1j * (p.omega_p - d)
-    S4 = p.kappa_p - 1j * (p.omega_p + d)
+    S1 = (p.kappa_a + 1j * p.delta_1) - jd
+    S2 = (p.kappa_n2 + 1j * dn2) - jd
+    S3 = (p.kappa_p + 1j * p.omega_p) - jd
+    S4 = (p.kappa_p - 1j * p.omega_p) - jd
     X = 1.0 - S3 / S4
-    S5 = p.kappa_n2 - 1j * (dn2 + d)
-    S6 = p.kappa_a - 1j * (p.delta_1 + d)
-    S7 = p.kappa_a - 1j * (p.delta_2 + d)
-    S8 = p.gamma_u - 1j * (p.delta_u + d)
-    S9 = p.kappa_n1 - 1j * (p.delta_n1 + d)
-    S10 = p.kappa_a + 1j * (p.delta_2 - d)
-    S11 = p.gamma_u + 1j * (p.delta_u - d)
-    S12 = p.kappa_n1 + 1j * (p.delta_n1 - d)
+    S5 = (p.kappa_n2 - 1j * dn2) - jd
+    S6 = (p.kappa_a - 1j * p.delta_1) - jd
+    S7 = (p.kappa_a - 1j * p.delta_2) - jd
+    S8 = (p.gamma_u - 1j * p.delta_u) - jd
+    S9 = (p.kappa_n1 - 1j * p.delta_n1) - jd
+    S10 = (p.kappa_a + 1j * p.delta_2) - jd
+    S11 = (p.gamma_u + 1j * p.delta_u) - jd
+    S12 = (p.kappa_n1 + 1j * p.delta_n1) - jd
 
     GA2 = abs(state.G_np_eff / _SQRT2) ** 2  # not the complex square
     W1 = 1.0 + p.G_au ** 2 / (S7 * S8)
@@ -85,14 +86,16 @@ def _ladder(p: SystemParams, state: SteadyState, d: np.ndarray):
     inverse = S1 + R10 + R12 + R2
     a1m = 1.0 / inverse
 
-    dW1 = (W1 - 1.0) * (1j / S7 + 1j / S8)
-    dW2 = T2g * (1j / S6 + 1j / S9) + T2f * (1j / S6 + 1j / S7 - dW1 / W1)
-    dW3 = (W3 - 1.0) * (1j / S5 + 1j / S6 - dW2 / W2)
-    dW4 = (W4 - 1.0) * (1j / S4 + 1j / S3 + 1j / S5 - dW3 / W3)
-    dW5 = (W5 - 1.0) * (1j / S4 + 1j / S2 + 1j / S3 - dW4 / W4)
-    dW6 = (W6 - 1.0) * (1j / S10 + 1j / S11)
-    d_inverse = (-1j + R10 * (1j / S10 - dW6 / W6) + R12 * 1j / S12
-                 + R2 * (1j / S2 - dW5 / W5))
+    i2, i3, i4, i5, i6, i7, i10 = (1j / S for S in (S2, S3, S4, S5, S6, S7,
+                                                      S10))
+    dW1 = (W1 - 1.0) * (i7 + 1j / S8)
+    dW2 = T2g * (i6 + 1j / S9) + T2f * (i6 + i7 - dW1 / W1)
+    dW3 = (W3 - 1.0) * (i5 + i6 - dW2 / W2)
+    dW4 = (W4 - 1.0) * (i4 + i3 + i5 - dW3 / W3)
+    dW5 = (W5 - 1.0) * (i4 + i2 + i3 - dW4 / W4)
+    dW6 = (W6 - 1.0) * (i10 + 1j / S11)
+    d_inverse = (-1j + R10 * (i10 - dW6 / W6) + R12 * 1j / S12
+                 + R2 * (i2 - dW5 / W5))
     return a1m, -d_inverse / inverse ** 2
 
 
@@ -101,15 +104,13 @@ def _pass(p: SystemParams, state: SteadyState, d: np.ndarray) -> Spectrum:
     # warnings are silenced: the caller raises on a non-finite a1m (from an
     # overflowing or NaN detuning), and |t| ~ 0 points are flagged
     with np.errstate(all="ignore"):
-        # a 0-d detuning (every delay pass) goes in as a numpy scalar: its
-        # terms stay scalar arithmetic, about 2x faster than 1-element ufunc
-        # calls on a 121-coupling view, and match the grid's to 1e-14
+        # a 0-d detuning goes in as a numpy scalar: scalar arithmetic, about 2x
+        # faster than 1-element ufunc calls, within 1e-14 of the grid's value
         a1m, slope = _ladder(p, state, d[()])
         eout = 2.0 * p.kappa_a * a1m
         t = 1.0 - eout
         dt = -2.0 * p.kappa_a * slope
-        # np.divide, not '/': a 0-d detuning's t is then divided by the
-        # ufunc loop, as a grid point's is
+        # np.divide, not '/': a 0-d t is divided by the grid's ufunc loop
         tau = np.imag(np.divide(dt, t))
         magnitude = np.abs(t)
         return Spectrum(d, *map(np.asarray, (a1m, eout, t, magnitude ** 2,
@@ -124,9 +125,8 @@ def evaluate_spectrum(p: SystemParams, state: SteadyState, deltas) -> Spectrum:
     -2 kappa_a d(a1m)/d(delta) comes from the ladder's own derivative, not
     from differences.  Points with |t| below 1e-12 are flagged unreliable:
     the phase is undefined there.  ``p`` may also be a coupling view that
-    holds ``f`` or ``G_au`` as a 1-D array (see
-    ``analysis.delay_sign_crossings``): at a scalar detuning the fields are
-    then arrays over the couplings.
+    holds ``f`` or ``G_au`` as a 1-D array (``analysis._delays``): at a
+    scalar detuning the fields are then arrays over the couplings.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim > 1 or d.size == 0:

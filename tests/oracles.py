@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import brentq
 
-from magnomech.analysis import REL_RESOLUTION, Crossing, CrossingReport
+from magnomech.analysis import (REL_RESOLUTION, Crossing, CrossingReport,
+                                Window, WindowReport)
 from magnomech.oracle import ORDERING, build_fluctuation_matrix
 from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import solve_steady_state
@@ -229,3 +230,39 @@ def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
                           values=np.array(values),
                           tau=np.array([tau for tau, _ in results]),
                           reliable=np.array([ok for _, ok in results]))
+
+
+def turning_points_loop(y):
+    """Interior maxima and minima, one grid step at a time: a turn between
+    two nonzero steps of opposite sign reports the midpoint of the flat
+    run between them."""
+    dy = np.diff(y)
+    edges = np.nonzero(dy)[0]
+    maxima, minima = [], []
+    for k in range(1, edges.size):
+        prev_rising = dy[edges[k - 1]] > 0
+        if prev_rising == (dy[edges[k]] > 0):
+            continue
+        center = (edges[k - 1] + 1 + edges[k]) // 2
+        (maxima if prev_rising else minima).append(int(center))
+    return maxima, minima
+
+
+def find_windows_loop(x, y, prominence=0.1):
+    """The window census with every maximum scanned for each minimum."""
+    maxima, minima = turning_points_loop(y)
+    threshold = prominence * float(np.max(y))
+    windows, rejected = [], 0
+    for m in minima:
+        left = [i for i in maxima if i < m]
+        right = [i for i in maxima if i > m]
+        if not left or not right:
+            continue
+        lv, rv, depth = float(y[left[-1]]), float(y[right[0]]), float(y[m])
+        if lv - depth >= threshold and rv - depth >= threshold:
+            windows.append(Window(center_delta=float(x[m]), depth=depth,
+                                  left_peak=lv, right_peak=rv))
+        else:
+            rejected += 1
+    return WindowReport(windows=windows, count=len(windows),
+                        rejected=rejected)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnomech.analysis import (Window, delay_sign_crossings, fano_asymmetry,
-                                find_windows)
+from magnomech.analysis import (Window, _turning_points, delay_sign_crossings,
+                                fano_asymmetry, find_windows)
 from magnomech.errors import ConfigError
 from magnomech.steady_state import solve_steady_state
 
 from conftest import with_overrides
-from oracles import delay_sign_crossings_pointwise
+from oracles import (delay_sign_crossings_pointwise, find_windows_loop,
+                     turning_points_loop)
 
 
 def _lorentzian(x, center, width):
@@ -62,6 +63,27 @@ def test_plateau_extrema_are_collapsed():
     y = np.minimum(_doublet(801)[1] * 2.0, 1.2)  # flat-topped peaks
     report = find_windows(x, np.interp(x, np.linspace(0, 10, 801), y))
     assert report.count == 1
+
+
+def test_census_matches_the_step_by_step_scan():
+    rng = np.random.default_rng(31)
+    traces = [np.ones(5), np.arange(6.0), np.array([1.0, 0.0, 1.0])]
+    for _ in range(300):
+        # a few integer levels held for random runs: plateaus, equal peaks
+        # and dips, and extrema on the first and last points
+        runs = rng.integers(1, 4, rng.integers(2, 25))
+        levels = rng.integers(0, 5, runs.size).astype(float)
+        traces.append(np.repeat(levels, runs) * rng.choice([1.0, 0.37]))
+    traces.append(rng.random(2001))
+    for y in traces:
+        if y.size < 3:
+            continue
+        x = np.cumsum(rng.uniform(0.5, 1.5, y.size))
+        maxima, minima = _turning_points(y)
+        assert (maxima.tolist(), minima.tolist()) == turning_points_loop(y)
+        for prominence in (0.05, 0.3, 0.9):
+            assert (find_windows(x, y, prominence)
+                    == find_windows_loop(x, y, prominence))
 
 
 @settings(max_examples=30, deadline=None)

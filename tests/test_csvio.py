@@ -15,6 +15,29 @@ def _contract_lines(header, blocks):
     return lines
 
 
+def _trailing_zeros(x):
+    """Trailing zeros among the 17 significant digits of ``x``."""
+    digits = format(abs(x), ".16e")[:18].replace(".", "")
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def _trailing_zero_pins():
+    """One positive value per count t = 0..16 of trailing zero digits, at
+    exponent 0 (fixed notation) and at exponent -8 (scientific)."""
+    # 1 + 2**-s = (10**s + 5**s) / 10**s has exactly s + 1 digits
+    fixed = [1.0 + 2.0 ** (t - 16) for t in range(17)]
+    # the double nearest a (17 - t)-digit decimal prints it back only when
+    # it lies within half a unit of the 17th digit: take the first last
+    # digit for which it does
+    scientific = []
+    for t in range(17):
+        lead = ("1" + "2" * (15 - t))[:16 - t]
+        candidates = (float(f"{lead}{d}e{t - 24}") for d in "123456789")
+        scientific.append(next(x for x in candidates
+                               if _trailing_zeros(x) == t))
+    return np.array(fixed + scientific)
+
+
 def test_block_lines_match_the_per_cell_contract(tmp_path):
     rng = np.random.default_rng(20260418)
     n = 2 * CHUNK_ROWS + 100      # the first block spans three chunks
@@ -24,7 +47,10 @@ def test_block_lines_match_the_per_cell_contract(tmp_path):
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
                         1.7976931348623157e308, 2.2250738585072014e-308, 1.0,
                         0.1, 1e16, 123456789012345678.0])
-    first = np.concatenate([special, finite])
+    # every 4-digit group boundary of the trailing-zero count, both signs
+    pins = _trailing_zero_pins()
+    assert [_trailing_zeros(x) for x in pins] == 2 * list(range(17))
+    first = np.concatenate([special, pins, -pins, finite])
     columns = (first, *(rng.permutation(first) for _ in range(4)),
                rng.choice([1, 3], first.size))        # an integer roots column
     blocks = [((), columns),

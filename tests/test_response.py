@@ -56,6 +56,45 @@ def test_scalar_detuning_equals_its_grid_element(fig3c_template):
         evaluate_spectrum(p, state, grid[:100].reshape(10, 10))
 
 
+# a1m (real, imag) and tau of the microscopic baseline at a 0-d detuning,
+# recorded from the ladder as it stood before its denominators were built
+# from one shared 1j * d; tau carries the ladder's slope.  At a 0-d detuning
+# the magnon shift is 0-d too, and numpy's 0-d complex division in place of
+# Python's moves tau at -omega_p by three ulps
+_MICRO_SCALAR = {
+    "0x0.0p+0": ("0x1.e15d67ba4e022p-29", "-0x1.110c999153a3ep-26",
+                 "0x1.f60b027156824p-28"),
+    "0x1.df5e7689309b6p+25": ("0x1.995cfe509e4ddp-28", "0x1.6bffa420eb140p-36",
+                              "-0x1.61430b1f48030p-16"),
+    "-0x1.df5e7689309b6p+25": ("0x1.d0ad72ce46875p-31",
+                               "-0x1.1173df60a7643p-27",
+                               "0x1.21b5e5ddba856p-28"),
+    "0x1.df5e3a0a123a1p+25": ("0x1.99465fca2df66p-28",
+                              "-0x1.0ac1f3b63034cp-34",
+                              "-0x1.60aeea4d986dap-16"),
+    "-0x1.df5e3a0a123a1p+25": ("0x1.d0ae0f8c8eb89p-31",
+                               "-0x1.117409c6cd643p-27",
+                               "0x1.215729871ce3bp-28"),
+}
+
+
+def test_scalar_detuning_on_a_microscopic_record_keeps_its_bytes(
+        micro_baseline):
+    p = micro_baseline
+    state = solve_steady_state(p)
+    assert np.ndim(state.delta_n2_eff) == 0
+    special = [0.0, -0.0]
+    for delta in (p.delta_1, p.delta_2, p.delta_u, p.delta_n1, p.omega_p,
+                  float(state.delta_n2_eff)):
+        special += [delta, -delta]
+    recorded = {float.fromhex(d): bits for d, bits in _MICRO_SCALAR.items()}
+    for d in special:
+        point = evaluate_spectrum(p, state, d)
+        bits = tuple(float(x).hex() for x in (point.a1m.real, point.a1m.imag,
+                                              point.tau))
+        assert bits == recorded[d], d  # -0.0 looks up the 0.0 entry
+
+
 def test_long_grid_is_evaluated_in_chunks(fig3c_template, monkeypatch):
     import magnomech.steady_state as steady_state
 
