@@ -111,31 +111,31 @@ def fano_asymmetry(window: Window) -> float:
 
 _SWEEPABLE = ("f", "G_au")
 
-#: relative parameter resolution to which a delay sign change is bisected
-REL_RESOLUTION = 1e-4
-
 
 def _delays(p: SystemParams, parameter: str, values: np.ndarray,
-            fixed_delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group delay and its reliability at every coupling value of a 1-D
-    array, from one steady solve and ladder pass per CHUNK values (so a
-    value gets the same bits in any grid), through a view of ``p``."""
+            fixed_delta: float) -> tuple[np.ndarray, ...]:
+    """tau, N = tau |t|^2 and tau's reliability at every coupling value of a
+    1-D array, through a view of ``p``, in one steady solve and ladder pass
+    per CHUNK values, so a value gets the same bits in any grid."""
     def evaluate(chunk):
         view = SimpleNamespace(**{**vars(p), parameter: chunk})
         return evaluate_spectrum(view, solve_steady_state(view), fixed_delta)
-    spectrum = in_chunks(values, evaluate)
-    return spectrum.tau, spectrum.tau_reliable
+    s = in_chunks(values, evaluate)
+    n = np.multiply(s.tau, s.t2, out=np.zeros_like(s.tau), where=s.t2 > 0.0)
+    return s.tau, n, s.tau_reliable
 
 
 def delay_sign_crossings(p: SystemParams, parameter: str, grid,
                          fixed_delta: float) -> CrossingReport:
     """Locate group-delay sign changes along a coupling sweep.
 
-    Each sign change between adjacent grid points is refined by bisection
-    to ``REL_RESOLUTION`` relative parameter resolution.  Brackets with an
-    unreliable delay value (|t| ~ 0) are reported, not refined.  The grid
-    is evaluated in ladder passes of at most CHUNK values, and every open
-    bracket is bisected in lock-step: one ladder pass per step.
+    Each sign change of tau between adjacent grid points is refined by the
+    Illinois rule (regula falsi that halves N at an end that stays put
+    twice) on N = tau |t|^2, to 4 ulp or an exact zero of N.  N has tau's
+    sign but no pole where t = 0, so a pole draws the refinement to |t| ~ 0
+    and its bracket, like one with an unreliable end, is reported, not
+    refined.  Every open bracket is refined in lock-step: one ladder pass
+    per step.
     """
     if parameter not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; "
@@ -147,38 +147,43 @@ def delay_sign_crossings(p: SystemParams, parameter: str, grid,
         raise ConfigError("sweep grid must be sorted strictly ascending")
     if values.size:
         # a coupling only has to be finite and non-negative, so the records
-        # at the two ends validate every grid value and every midpoint
+        # at the two ends validate every grid value and refinement point
         replace(p, **{parameter: float(values[0])})
         replace(p, **{parameter: float(values[-1])})
 
-    tau, reliable = _delays(p, parameter, values, fixed_delta)
+    tau, n, reliable = _delays(p, parameter, values, fixed_delta)
     left, right = tau[:-1], tau[1:]
     brackets = np.flatnonzero((left != 0.0) & (right != 0.0)
                               & ((left > 0) != (right > 0)))
-    a, b = values[brackets], values[brackets + 1]
+    ends = np.array([brackets, brackets + 1])    # rows: lower, upper end
+    x, fx = values[ends], n[ends]
     positive = tau[brackets] > 0     # the sign kept at the lower end
+    moved = np.full(brackets.size, -1)   # the row the last step replaced
     ok = reliable[brackets] & reliable[brackets + 1]
     reasons = ["" if k else "unreliable delay at bracket point" for k in ok]
     todo = np.flatnonzero(ok)
     while True:
-        lo, hi = a[todo], b[todo]
-        todo = todo[(hi - lo) > REL_RESOLUTION * np.maximum(
-            np.maximum(np.abs(lo), np.abs(hi)), 1e-300)]
+        a, b = x[:, todo]     # 0 <= a <= b
+        todo = todo[b - a > 4.0 * np.spacing(b)]
         if not todo.size:
             break
-        mid = 0.5 * (a[todo] + b[todo])
-        tau_mid, ok_mid = _delays(p, parameter, mid, fixed_delta)
-        for j in todo[~ok_mid]:
-            reasons[j] = "unreliable delay during bisection"
-        same = (tau_mid > 0) == positive[todo]
-        a[todo[ok_mid & same]] = mid[ok_mid & same]
-        b[todo[ok_mid & ~same]] = mid[ok_mid & ~same]
-        todo = todo[ok_mid]
+        (a, b), (fa, fb) = x[:, todo], fx[:, todo]
+        c = a - fa * (b - a) / (fb - fa)
+        _, fc, ok_c = _delays(p, parameter, c, fixed_delta)
+        for j in todo[~ok_c]:
+            reasons[j] = "unreliable delay during refinement"
+        zero = ok_c & (fc == 0.0)     # both ends move to a zero of N
+        x[:, todo[zero]] = c[zero]
+        k, c, fc = (v[ok_c & ~zero] for v in (todo, c, fc))
+        row = ((fc > 0) != positive[k]).astype(int)
+        fx[1 - row, k] *= np.where(moved[k] == row, 0.5, 1.0)
+        x[row, k], fx[row, k], moved[k] = c, fc, row
+        todo = todo[ok_c]
 
     crossings: list[Crossing] = []
     invalid: list[tuple[float, float, str]] = []
     for j, reason in enumerate(reasons):
-        lo, hi = float(a[j]), float(b[j])
+        lo, hi = float(x[0, j]), float(x[1, j])
         if reason:
             invalid.append((lo, hi, reason))
         else:

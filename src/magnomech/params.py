@@ -318,11 +318,9 @@ def rabi_frequency(B, sphere_diameter: float, spin_density: float,
 
     N = spin_density * (pi/6) * diameter^3 is the number of spins in the
     sphere; the result is linear in B and in sqrt(spin_density).
+    Only ``B`` is checked, as a ``--brange`` grid comes from outside; the
+    other arguments are fields of a validated ``SystemParams``.
     """
-    if sphere_diameter <= 0.0:
-        raise ConfigError("sphere_diameter must be positive")
-    if spin_density <= 0.0 or gyro <= 0.0:
-        raise ConfigError("spin_density and gyromagnetic ratio must be positive")
     if np.less(B, 0.0).any():
         raise ConfigError("B must be non-negative")
     volume = (math.pi / 6.0) * sphere_diameter ** 3

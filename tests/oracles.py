@@ -4,13 +4,14 @@ These deliberately re-derive their answers from the model equations
 rather than calling the code paths they check.
 """
 
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from magnomech.analysis import (REL_RESOLUTION, Crossing, CrossingReport,
-                                Window, WindowReport)
+from magnomech.analysis import Crossing, CrossingReport, Window, WindowReport
 from magnomech.oracle import ORDERING, build_fluctuation_matrix
 from magnomech.response import evaluate_spectrum
 from magnomech.steady_state import solve_steady_state
@@ -194,42 +195,53 @@ def resolvent_group_delay(p, state, delta):
 
 def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
     """The delay sweep one coupling value at a time: a validated record, a
-    steady solve and a scalar ladder pass per grid value, and each sign
-    bracket bisected to the end before the next one starts."""
-    def tau_at(value):
+    steady solve and a ladder pass per value, and each sign bracket refined
+    by the Illinois rule on N = tau |t|^2 to the end before the next one
+    starts.  Each value is evaluated as a one-value grid of the record, so
+    it gets the bits it has in any grid; a scalar record rounds the last
+    bits differently, and a refinement to 4 ulp would show that."""
+    def at(value):
         p2 = replace(p, **{parameter: float(value)})
-        spectrum = evaluate_spectrum(p2, solve_steady_state(p2), fixed_delta)
-        return float(spectrum.tau), bool(spectrum.tau_reliable)
+        view = SimpleNamespace(**{**vars(p2), parameter: np.array([value])})
+        spectrum = evaluate_spectrum(view, solve_steady_state(view),
+                                     fixed_delta)
+        tau, t2 = float(spectrum.tau[0]), float(spectrum.t2[0])
+        return (tau, tau * t2 if t2 > 0.0 else 0.0,
+                bool(spectrum.tau_reliable[0]))
 
     values = [float(v) for v in grid]
-    results = [tau_at(v) for v in values]
+    results = [at(v) for v in values]
     crossings, invalid = [], []
     for k, (lo, hi) in enumerate(zip(values, values[1:])):
-        (tau_l, ok_l), (tau_h, ok_h) = results[k], results[k + 1]
+        (tau_l, n_l, ok_l), (tau_h, n_h, ok_h) = results[k], results[k + 1]
         if tau_l == 0.0 or tau_h == 0.0 or (tau_l > 0) == (tau_h > 0):
             continue
         if not (ok_l and ok_h):
             invalid.append((lo, hi, "unreliable delay at bracket point"))
             continue
-        a, b = lo, hi
-        while (b - a) > REL_RESOLUTION * max(abs(a), abs(b), 1e-300):
-            mid = 0.5 * (a + b)
-            tau_mid, ok_mid = tau_at(mid)
-            if not ok_mid:
-                invalid.append((a, b, "unreliable delay during bisection"))
+        ends, fs, moved = [lo, hi], [n_l, n_h], None
+        while ends[1] - ends[0] > 4.0 * math.ulp(ends[1]):
+            (a, b), (fa, fb) = ends, fs
+            c = a - fa * (b - a) / (fb - fa)
+            _, fc, ok_c = at(c)
+            if not ok_c:
+                invalid.append((a, b, "unreliable delay during refinement"))
                 break
-            if (tau_mid > 0) == (tau_l > 0):
-                a = mid
-            else:
-                b = mid
+            if fc == 0.0:
+                ends = [c, c]
+                continue
+            row = int((fc > 0) != (tau_l > 0))   # the end that c replaces
+            if moved == row:      # the other end stays put a second time
+                fs[1 - row] *= 0.5
+            ends[row], fs[row], moved = c, fc, row
         else:
             crossings.append(Crossing(
-                parameter=parameter, value=0.5 * (a + b),
+                parameter=parameter, value=0.5 * (ends[0] + ends[1]),
                 direction="pos->neg" if tau_l > 0 else "neg->pos"))
     return CrossingReport(crossings=crossings, invalid=invalid,
                           values=np.array(values),
-                          tau=np.array([tau for tau, _ in results]),
-                          reliable=np.array([ok for _, ok in results]))
+                          tau=np.array([tau for tau, _, _ in results]),
+                          reliable=np.array([ok for _, _, ok in results]))
 
 
 def turning_points_loop(y):

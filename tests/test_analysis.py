@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnomech.analysis import (Window, _turning_points, delay_sign_crossings,
-                                fano_asymmetry, find_windows)
+from magnomech import analysis
+from magnomech.analysis import (Crossing, Window, _turning_points,
+                                delay_sign_crossings, fano_asymmetry,
+                                find_windows)
 from magnomech.errors import ConfigError
 from magnomech.steady_state import solve_steady_state
 
@@ -152,10 +154,10 @@ def test_crossing_independent_of_grid_density(delay_template):
     coarse = delay_sign_crossings(delay_template, "f",
                                   np.linspace(0.0, 0.3 * wp, 16), wp)
     fine = delay_sign_crossings(delay_template, "f",
-                                np.linspace(0.0, 0.3 * wp, 61), wp)
+                                np.linspace(0.0, 0.3 * wp, 53), wp)
     assert len(coarse.crossings) == len(fine.crossings) == 1
     assert coarse.crossings[0].value == pytest.approx(
-        fine.crossings[0].value, rel=2e-4)
+        fine.crossings[0].value, rel=1e-13)
 
 
 def test_no_crossing_without_tunnelling(delay_template):
@@ -212,7 +214,7 @@ def test_microscopic_sweep_matches_pointwise_loop(micro_baseline, parameter,
     assert report.crossings == expected.crossings
     assert report.invalid == expected.invalid == []
     np.testing.assert_array_equal(report.values, expected.values)
-    np.testing.assert_allclose(report.tau, expected.tau, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(report.tau, expected.tau)
     np.testing.assert_array_equal(report.reliable, expected.reliable)
 
 
@@ -230,31 +232,126 @@ def three_crossings(baseline):
     return p, float(np.sqrt(p.kappa_a * p.gamma_u * (w6 - 1.0)))
 
 
-@pytest.mark.parametrize("dark", ["grid point", "first midpoint"])
+@pytest.mark.parametrize("dark", ["grid point", "between grid points"])
 def test_brackets_come_back_in_ascending_order(three_crossings, dark):
     p, g_dark = three_crossings
     wp = p.omega_p
     grid = np.linspace(0.0, 0.3 * wp, 31)
-    near = np.argsort(np.abs(grid - g_dark))[:2]
     if dark == "grid point":
-        grid[near[0]] = g_dark
+        grid[np.argmin(np.abs(grid - g_dark))] = g_dark
         reason = "unreliable delay at bracket point"
-    else:   # the two grid points around it, moved to be symmetric about it
-        grid[np.sort(near)] = g_dark - 0.004 * wp, g_dark + 0.004 * wp
-        reason = "unreliable delay during bisection"
+    else:   # N's zero at the pole draws the refinement to |t| ~ 0
+        reason = "unreliable delay during refinement"
     report = delay_sign_crossings(p, "G_au", grid, 0.0)
     expected = delay_sign_crossings_pointwise(p, "G_au", grid, 0.0)
     assert report.crossings == expected.crossings
     assert report.invalid == expected.invalid
     np.testing.assert_array_equal(report.reliable, expected.reliable)
-    # the lower crossing needs more steps to its relative resolution, so it
-    # is still open when the higher one is done
+    # the lower crossing needs more steps to 4 ulp, so it is still open
+    # when the higher one is done
     assert [c.direction for c in report.crossings] == ["pos->neg"] * 2
     lower, upper = (c.value for c in report.crossings)
     assert lower < g_dark < upper
     assert len(report.invalid) == 1
     lo, hi, why = report.invalid[0]
     assert lo <= g_dark <= hi and why == reason
+
+
+def test_pole_is_discarded_on_every_grid(three_crossings):
+    p, g_dark = three_crossings
+    found = []
+    for n in (31, 121, 1001):
+        grid = np.linspace(0.0, 0.3 * p.omega_p, n)
+        report = delay_sign_crossings(p, "G_au", grid, 0.0)
+        assert len(report.crossings) == 2, n
+        [(lo, hi, why)] = report.invalid
+        assert lo < g_dark < hi
+        assert why == "unreliable delay during refinement"
+        found.append([c.value for c in report.crossings])
+    np.testing.assert_allclose(found, [found[0]] * 3, rtol=1e-13, atol=0)
+
+
+def _counting_delays(monkeypatch):
+    """Count the ladder passes of every later ``delay_sign_crossings``."""
+    calls = []
+    delays = analysis._delays
+
+    def counted(*args):
+        calls.append(args[2].size)
+        assert len(calls) < 100, "the refinement does not end"
+        return delays(*args)
+    monkeypatch.setattr(analysis, "_delays", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, passes", [("fig8a", 7), ("fig8b", 9)])
+def test_preset_crossings_are_grid_independent(monkeypatch, name, passes):
+    from magnomech.params import apply_override
+    from magnomech.presets import AXES, get_preset
+
+    preset = get_preset(name)
+    lo, hi, _ = preset.axis or AXES["delay"]
+    calls = _counting_delays(monkeypatch)
+    found = []
+    for n in (121, 1001, 8001):
+        values = []
+        for curve in preset.curve_values:
+            p = apply_override(preset.resolve(), preset.curve_key, curve)
+            grid = np.linspace(lo * p.omega_p, hi * p.omega_p, n)
+            report = delay_sign_crossings(p, preset.sweep_param, grid,
+                                          preset.fixed_delta * p.omega_p)
+            assert report.invalid == []
+            values += [c.value for c in report.crossings]
+        found.append(values)
+        if n == 121:   # one grid pass per curve, then the refinement
+            assert len(calls) - len(preset.curve_values) <= passes
+    assert len(found[0]) == 1
+    np.testing.assert_allclose(found, [found[0]] * 3, rtol=1e-13, atol=0)
+
+
+def _synthetic(monkeypatch, t_of, n_of):
+    """Replace the physics by t(x) and N(x): tau = N / |t|^2, unreliable
+    where |t| < 1e-12, like the ladder's delay."""
+    def delays(p, parameter, values, fixed_delta):
+        t2 = t_of(values) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = n_of(values) / t2
+        return tau, n_of(values), np.sqrt(t2) >= 1e-12
+    monkeypatch.setattr(analysis, "_delays", delays)
+    return _counting_delays(monkeypatch)
+
+
+def test_exact_zero_of_n_ends_its_bracket(monkeypatch, delay_template):
+    # the first Illinois point of [0, 4] on N = 1 - x is exactly 1
+    calls = _synthetic(monkeypatch, np.ones_like, lambda x: 1.0 - x)
+    report = delay_sign_crossings(delay_template, "f", [0.0, 4.0], 0.0)
+    assert report.crossings == [Crossing("f", 1.0, "pos->neg")]
+    assert calls == [2, 1]
+
+
+def test_smooth_zero_is_refined_to_4_ulp(monkeypatch, delay_template):
+    calls = _synthetic(monkeypatch, np.ones_like, lambda x: x * x - 2.0)
+    report = delay_sign_crossings(delay_template, "f",
+                                  np.linspace(0.0, 3.0, 4), 0.0)
+    [crossing] = report.crossings
+    assert crossing.direction == "neg->pos"
+    assert abs(crossing.value - np.sqrt(2.0)) <= 4 * np.spacing(np.sqrt(2.0))
+    assert len(calls) <= 12     # bisection would take about 50 passes
+
+
+def test_pole_between_reliable_grid_points_is_discarded(monkeypatch,
+                                                        delay_template):
+    # tau = (t + t^3) / t^2 changes sign at t = 0 through a pole; N does
+    # not, and its zero leads the refinement to where |t| ~ 0
+    calls = _synthetic(monkeypatch, lambda x: x - 0.3,
+                       lambda x: (x - 0.3) + (x - 0.3) ** 3)
+    report = delay_sign_crossings(delay_template, "f",
+                                  np.linspace(0.0, 1.0, 5), 0.0)
+    assert report.reliable.all()
+    assert report.crossings == []
+    [(lo, hi, why)] = report.invalid
+    assert lo <= 0.3 <= hi and why == "unreliable delay during refinement"
+    assert len(calls) <= 10
 
 
 # --- figure-level trends ------------------------------------------------------

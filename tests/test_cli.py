@@ -13,6 +13,14 @@ from magnomech.presets import BASELINE_CONFIG, MICROSCOPIC_CONFIG, PRESETS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
+
+def test_docs_configs_are_the_preset_configs():
+    # CI smoke runs and tools/compare_outputs.py read the docs copies
+    assert (DOCS / "baseline.cfg").read_bytes() == BASELINE_CONFIG.encode()
+    assert ((DOCS / "microscopic.cfg").read_bytes()
+            == MICROSCOPIC_CONFIG.encode())
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "base.cfg"

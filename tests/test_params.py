@@ -157,6 +157,17 @@ def test_microscopic_mode_requirements():
         parse_config(MICRO.replace("g_np_hz = 1e-3", "g_np_hz = 0"))
 
 
+def test_parse_rejects_nonpositive_drive_constants():
+    # the one site for these rules: rabi_frequency trusts its record
+    for key, field in (("sphere_diameter_m", "sphere_diameter"),
+                       ("spin_density_per_m3", "spin_density"),
+                       ("gyro_hz_per_tesla", "gyromagnetic_ratio")):
+        for value in ("0", "-1"):
+            text = MICRO.replace(f"{key} = 250e-6\n", "")
+            with pytest.raises(ConfigError, match=f"{field} must be positive"):
+                parse_config(text + f"{key} = {value}\n")
+
+
 def test_mode_requirements_hold_on_every_path(baseline):
     # --mode (an override of coupling_mode), --set and direct construction
     # meet the same check in SystemParams that a config file meets
@@ -352,7 +363,3 @@ def test_rabi_linear_in_field_and_sqrt_density():
     assert rabi_frequency(1e-5, 250e-6, 4 * 4.22e27, TWO_PI * 28e9) == \
         pytest.approx(2.0 * base, rel=1e-12)
 
-
-def test_rabi_rejects_bad_diameter():
-    with pytest.raises(ConfigError, match="sphere_diameter"):
-        rabi_frequency(1e-5, 0.0, 4.22e27, TWO_PI * 28e9)

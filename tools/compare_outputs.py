@@ -9,7 +9,9 @@ process per job, in its own directory, on copies of NEW_CHECKOUT's
 same argv.  The jobs are every preset at its default grid and, on both
 configs, ``spectrum`` (default grid and 20001 points), ``steady
 --brange``, ``delay --sweep f`` (8193 points, past one ladder pass) and
-``--sweep G_au``, ``windows``, a two-key ``sweep`` and ``validate``.
+``--sweep G_au``, ``windows``, a two-key ``sweep`` and ``validate``, and
+``delay --sweep G_au --delta 0`` on a config the tool writes, with two
+delay sign changes and a pole of the delay between them.
 
 Per job it compares the exit code, stdout, stderr and every file the job
 wrote: the CSV, the crossings CSV and the manifest, whose ``argv:`` line
@@ -32,6 +34,28 @@ from pathlib import Path
 CONFIGS = ("baseline", "microscopic")
 DIFF_LINES = 6  # diff lines printed per differing file
 
+# resonant modes at zero probe detuning: |t| = 0 at G_au = 9.98e6 rad/s, a
+# pole of the delay between two sign changes (tests/test_analysis.py)
+DARK_CONFIG = """\
+coupling_mode = effective
+omega_0_hz = 10e9
+omega_p_hz = 10e6
+kappa_a_hz = 2.1e6
+kappa_p_hz = 100
+kappa_n1_hz = 0.1e6
+kappa_n2_hz = 0.1e6
+gamma_u_hz = 0.2e6
+g1_hz = 0.2e6
+g2_hz = 0
+f_hz = 5e6
+G_au_hz = 0
+G_np_hz = 0
+delta_1_hz = 0
+delta_2_hz = 0
+delta_u_hz = 0
+delta_n1_hz = 0
+"""
+
 
 def jobs(presets):
     """(name, argv) of every job, argv relative to the job directory."""
@@ -49,6 +73,8 @@ def jobs(presets):
                            "--set", "G_au_hz=0,6e6", "--grid", "2001"]),
                 ("validate", ["validate", "--grid", "5001"])):
             out.append((f"{cfg}-{name}", [*extra, "--config", f"{cfg}.cfg"]))
+    out.append(("dark-delay-G_au", ["delay", "--sweep", "G_au", "--delta",
+                                    "0", "--config", "dark.cfg"]))
     return [(name, [*argv, "--out", f"{name}.csv"]) for name, argv in out]
 
 
@@ -78,6 +104,7 @@ def run_side(checkout: Path, configs: Path, work: Path, job_list) -> None:
     beside its outputs."""
     for cfg in CONFIGS:
         shutil.copyfile(configs / f"{cfg}.cfg", work / f"{cfg}.cfg")
+    (work / "dark.cfg").write_text(DARK_CONFIG)
     env = _env(checkout)
     for name, argv in job_list:
         done = subprocess.run([sys.executable, "-m", "magnomech.cli", *argv],
