@@ -318,8 +318,9 @@ def rabi_frequency(B, sphere_diameter: float, spin_density: float,
 
     N = spin_density * (pi/6) * diameter^3 is the number of spins in the
     sphere; the result is linear in B and in sqrt(spin_density).
-    Only ``B`` is checked, as a ``--brange`` grid comes from outside; the
-    other arguments are fields of a validated ``SystemParams``.
+    Only ``B`` is checked, as a ``--brange`` grid comes from outside.  The
+    other arguments are assumed positive: pass the fields of a validated
+    ``SystemParams``, whose ``__post_init__`` checks them.
     """
     if np.less(B, 0.0).any():
         raise ConfigError("B must be non-negative")

@@ -199,9 +199,15 @@ def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
     by the Illinois rule on N = tau |t|^2 to the end before the next one
     starts.  Each value is evaluated as a one-value grid of the record, so
     it gets the bits it has in any grid; a scalar record rounds the last
-    bits differently, and a refinement to 4 ulp would show that."""
+    bits differently, and a refinement to 4 ulp would show that.
+
+    Returns the report and, per grid value, the delay and its reliability
+    from the scalar record itself, the path a ``spectrum`` job takes."""
+    def record(value):
+        return replace(p, **{parameter: float(value)})
+
     def at(value):
-        p2 = replace(p, **{parameter: float(value)})
+        p2 = record(value)
         view = SimpleNamespace(**{**vars(p2), parameter: np.array([value])})
         spectrum = evaluate_spectrum(view, solve_steady_state(view),
                                      fixed_delta)
@@ -238,10 +244,14 @@ def delay_sign_crossings_pointwise(p, parameter, grid, fixed_delta):
             crossings.append(Crossing(
                 parameter=parameter, value=0.5 * (ends[0] + ends[1]),
                 direction="pos->neg" if tau_l > 0 else "neg->pos"))
-    return CrossingReport(crossings=crossings, invalid=invalid,
-                          values=np.array(values),
-                          tau=np.array([tau for tau, _, _ in results]),
-                          reliable=np.array([ok for _, _, ok in results]))
+    on_records = [evaluate_spectrum(p2, solve_steady_state(p2), fixed_delta)
+                  for p2 in map(record, values)]
+    return (CrossingReport(crossings=crossings, invalid=invalid,
+                           values=np.array(values),
+                           tau=np.array([tau for tau, _, _ in results]),
+                           reliable=np.array([ok for _, _, ok in results])),
+            np.array([float(s.tau) for s in on_records]),
+            np.array([bool(s.tau_reliable) for s in on_records]))
 
 
 def turning_points_loop(y):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,14 @@ from magnomech.analysis import (Crossing, Window, _turning_points,
                                 delay_sign_crossings, fano_asymmetry,
                                 find_windows)
 from magnomech.errors import ConfigError
+from magnomech.params import parse_config
 from magnomech.steady_state import solve_steady_state
 
 from conftest import with_overrides
 from oracles import (delay_sign_crossings_pointwise, find_windows_loop,
                      turning_points_loop)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _lorentzian(x, center, width):
@@ -208,24 +214,29 @@ def test_microscopic_sweep_matches_pointwise_loop(micro_baseline, parameter,
     p = with_overrides(micro_baseline, **overrides)
     grid = np.linspace(0.0, p.omega_p, 41)
     report = delay_sign_crossings(p, parameter, grid, delta * p.omega_p)
-    expected = delay_sign_crossings_pointwise(p, parameter, grid,
-                                              delta * p.omega_p)
+    expected, record_tau, record_ok = delay_sign_crossings_pointwise(
+        p, parameter, grid, delta * p.omega_p)
     assert len(report.crossings) == 2
     assert report.crossings == expected.crossings
     assert report.invalid == expected.invalid == []
     np.testing.assert_array_equal(report.values, expected.values)
     np.testing.assert_array_equal(report.tau, expected.tau)
     np.testing.assert_array_equal(report.reliable, expected.reliable)
+    # each value's own scalar record, the path of a spectrum job
+    np.testing.assert_allclose(report.tau, record_tau, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(report.reliable, record_ok)
 
 
 @pytest.fixture(scope="module")
-def three_crossings(baseline):
+def three_crossings():
     """Resonant modes at zero probe detuning: |t| vanishes at one G_au, a
-    pole of the delay between two ordinary sign changes."""
-    p = with_overrides(baseline, g2_hz=0.0, G_np_hz=0.0, g1_hz=0.2e6,
-                       f_hz=5e6, gamma_u_hz=0.2e6, kappa_n1_hz=0.1e6,
-                       delta_1_hz=0.0, delta_2_hz=0.0, delta_u_hz=0.0,
-                       delta_n1_hz=0.0)
+    pole of the delay between two ordinary sign changes.  The record is
+    the config that tools/compare_outputs.py sweeps in its pole job."""
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    p = parse_config(tool.DARK_CONFIG)
     # t = 0 where 2 kappa_a = kappa_a + g1^2/kappa_n1 + f^2/(kappa_a W6),
     # W6 = 1 + G_au^2/(kappa_a gamma_u)
     w6 = p.f ** 2 / (p.kappa_a * (p.kappa_a - p.g1 ** 2 / p.kappa_n1))
@@ -243,7 +254,7 @@ def test_brackets_come_back_in_ascending_order(three_crossings, dark):
     else:   # N's zero at the pole draws the refinement to |t| ~ 0
         reason = "unreliable delay during refinement"
     report = delay_sign_crossings(p, "G_au", grid, 0.0)
-    expected = delay_sign_crossings_pointwise(p, "G_au", grid, 0.0)
+    expected, _, _ = delay_sign_crossings_pointwise(p, "G_au", grid, 0.0)
     assert report.crossings == expected.crossings
     assert report.invalid == expected.invalid
     np.testing.assert_array_equal(report.reliable, expected.reliable)

@@ -35,7 +35,8 @@ CONFIGS = ("baseline", "microscopic")
 DIFF_LINES = 6  # diff lines printed per differing file
 
 # resonant modes at zero probe detuning: |t| = 0 at G_au = 9.98e6 rad/s, a
-# pole of the delay between two sign changes (tests/test_analysis.py)
+# pole of the delay between two sign changes; the three_crossings fixture
+# of tests/test_analysis.py parses this text, so the job runs a tested case
 DARK_CONFIG = """\
 coupling_mode = effective
 omega_0_hz = 10e9
